@@ -55,7 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="accuracy parameter in (0,1), e.g. 1/2")
     p_approx.add_argument("--out", required=True, help="output path for the approximation set")
     p_approx.add_argument("--report", help="optional output path for the run report")
-    p_approx.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
     p_approx.add_argument("--grid-cap", type=int, default=10**8,
                           help="refuse grids larger than this many points")
 
@@ -97,9 +96,7 @@ def _emit(doc: dict, path: str | None):
 def _cmd_approximate(args) -> int:
     instance = serialization.load_instance(args.instance)
     started = time.monotonic()
-    aset = engine.approximate(
-        instance, args.epsilon, threads=args.threads, grid_cap=args.grid_cap
-    )
+    aset = engine.approximate(instance, args.epsilon, grid_cap=args.grid_cap)
     elapsed_ms = int((time.monotonic() - started) * 1000)
     serialization.save_approximation_set(aset, args.out)
     report = serialization.run_report(aset, elapsed_ms)
@@ -107,9 +104,19 @@ def _cmd_approximate(args) -> int:
     return EXIT_OK
 
 
+def _check_pairing(aset: engine.ApproximationSet, instance) -> None:
+    """Refuse a set fitted for another instance; its cells would answer wrongly."""
+    fitted = (aset.spec.K, aset.sense, aset.spec.lambda_min)
+    if fitted != (instance.K, instance.sense, instance.lambda_min):
+        raise InvalidInstanceError(
+            "approximation set does not match the instance (K, sense or lambda_min differ)"
+        )
+
+
 def _cmd_query(args) -> int:
     aset = serialization.load_approximation_set(args.set)
     instance = serialization.load_instance(args.instance)
+    _check_pairing(aset, instance)
     rec = engine.query(aset, instance, args.lam)
     doc = {
         "solution": serialization.solution_to_json(rec),
@@ -139,6 +146,7 @@ def _cmd_verify(args) -> int:
         raise InvalidInstanceError("verify needs an instance and --set, or --fixture")
     instance = serialization.load_instance(args.instance)
     aset = serialization.load_approximation_set(args.set_path)
+    _check_pairing(aset, instance)
     spec = aset.spec
     samples = oracle.sample_parameters_labeled(instance, spec, args.samples, args.seed)
     report = oracle.verify_approximation_set(instance, aset, args.beta, samples)

@@ -14,7 +14,6 @@ estimator.
 """
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -48,7 +47,6 @@ class Oracle:
     fn: OracleFn
     alpha: Fraction
     name: str = ""
-    concurrent_safe: bool = True
 
     def __call__(self, instance: ProblemInstance, lam: Lambda) -> SolutionRecord:
         return self.fn(instance, lam)
@@ -122,22 +120,11 @@ def guarantee(aset: ApproximationSet) -> Fraction:
     return aset.guarantee
 
 
-def _run_oracle(oracle: Oracle, instance: ProblemInstance, idx: GridIndex, lam: Lambda):
-    try:
-        rec = oracle(instance, lam)
-    except Exception as exc:  # noqa: BLE001 - contract: abort with offending lambda
-        raise OracleError(lam, exc) from exc
-    if len(rec.F) != instance.K + 1:
-        raise OracleError(lam, f"oracle returned {len(rec.F)} components")
-    return idx, rec
-
-
 def approximate(
     instance: ProblemInstance,
     eps: RationalLike,
     oracle: Oracle | OracleFamily | None = None,
     *,
-    threads: int = 1,
     grid_cap: int = DEFAULT_GRID_CAP,
 ) -> ApproximationSet:
     """Run the grid algorithm and return the populated approximation set.
@@ -168,31 +155,17 @@ def approximate(
     spec = make_spec(c, instance.K, run_eps, instance.lambda_min)
 
     entries: dict[GridIndex, SolutionRecord] = {}
+    # Grid points stream in lexicographic index order, so the interning dict
+    # keeps the distinct solutions in first-appearance order.
     interned: dict[tuple, SolutionRecord] = {}
-    work = grid_points(spec, cap=grid_cap)
-
-    def _store(idx: GridIndex, rec: SolutionRecord):
-        canonical = interned.setdefault(rec.encoding, rec)
-        entries[idx] = canonical
-
-    if threads > 1 and oracle.concurrent_safe:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            for idx, rec in pool.map(
-                lambda pair: _run_oracle(oracle, instance, *pair), work, chunksize=64
-            ):
-                _store(idx, rec)
-    else:
-        for idx, lam in work:
-            _store(*_run_oracle(oracle, instance, idx, lam))
-
-    # Distinct solutions in first-appearance order of the lexicographic grid.
-    seen: set[tuple] = set()
-    distinct: list[SolutionRecord] = []
-    for idx in sorted(entries):
-        rec = entries[idx]
-        if rec.encoding not in seen:
-            seen.add(rec.encoding)
-            distinct.append(rec)
+    for idx, lam in grid_points(spec, cap=grid_cap):
+        try:
+            rec = oracle(instance, lam)
+        except Exception as exc:  # noqa: BLE001 - contract: abort with offending lambda
+            raise OracleError(lam, exc) from exc
+        if len(rec.F) != instance.K + 1:
+            raise OracleError(lam, f"oracle returned {len(rec.F)} components")
+        entries[idx] = interned.setdefault(rec.encoding, rec)
 
     return ApproximationSet(
         requested_eps=requested,
@@ -202,7 +175,7 @@ def approximate(
         spec=spec,
         sense=instance.sense,
         entries=entries,
-        solutions=tuple(distinct),
+        solutions=tuple(interned.values()),
         oracle_name=oracle.name,
     )
 
@@ -236,19 +209,16 @@ class GridApproximator:
         self,
         epsilon: RationalLike = Fraction(1, 2),
         oracle: Oracle | OracleFamily | None = None,
-        threads: int = 1,
         grid_cap: int = DEFAULT_GRID_CAP,
     ):
         self.epsilon = epsilon
         self.oracle = oracle
-        self.threads = threads
         self.grid_cap = grid_cap
 
     def get_params(self, deep: bool = True) -> dict:
         return {
             "epsilon": self.epsilon,
             "oracle": self.oracle,
-            "threads": self.threads,
             "grid_cap": self.grid_cap,
         }
 
@@ -262,11 +232,7 @@ class GridApproximator:
     def fit(self, instance: ProblemInstance, y=None) -> "GridApproximator":
         self.instance_ = instance
         self.approximation_set_ = approximate(
-            instance,
-            self.epsilon,
-            self.oracle,
-            threads=self.threads,
-            grid_cap=self.grid_cap,
+            instance, self.epsilon, self.oracle, grid_cap=self.grid_cap
         )
         self.guarantee_ = self.approximation_set_.guarantee
         return self

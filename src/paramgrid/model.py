@@ -176,17 +176,38 @@ def augmented_evaluate(x: SolutionRecord, w: Sequence[RationalLike]) -> Fraction
     return sum((wi * fi for wi, fi in zip(vec, x.F)), ZERO)
 
 
+def costs_at(rows: Iterable[tuple[int, Sequence[int]]], lam: Sequence[Fraction]) -> list[Fraction]:
+    """Cost a_e + sum_k lam_k * b_{k,e} of each (a_e, b_e) row at a parameter vector."""
+    return [Fraction(a) + sum((v * be for v, be in zip(lam, b)), ZERO) for a, b in rows]
+
+
 def element_costs(payload: CostRows, lambda_min: Lambda) -> list[Fraction]:
-    """Per-element cost a_e + sum_k lambda_min_k * b_{k,e}; rejects negatives."""
-    costs = []
-    for a, b in payload.cost_rows():
-        cost = Fraction(a) + sum((lm * be for lm, be in zip(lambda_min, b)), ZERO)
+    """Per-element cost at lambda_min; rejects negatives."""
+    costs = costs_at(payload.cost_rows(), lambda_min)
+    for cost in costs:
         if cost < 0:
             raise InvalidInstanceError(
                 f"element cost {cost} at lambda_min is negative; lambda_min too small"
             )
-        costs.append(cost)
     return costs
+
+
+def component_vector(
+    rows: Iterable[tuple[int, Sequence[int]]], lambda_min: Lambda
+) -> tuple[Fraction, ...]:
+    """F of an element subset given its (a_e, b_e) rows.
+
+    The cost is affine in its row, so F_0 is the cost of the summed row at
+    lambda_min: integer sums, then one rational evaluation.
+    """
+    a_sum = 0
+    b_sum = [0] * len(lambda_min)
+    for a, b in rows:
+        a_sum += a
+        for k, be in enumerate(b):
+            b_sum[k] += be
+    (f0,) = costs_at([(a_sum, b_sum)], lambda_min)
+    return (f0, *map(Fraction, b_sum))
 
 
 def compute_lambda_min(payload: CostRows) -> Lambda:
@@ -303,11 +324,5 @@ def record_from_elements(
     """Component vector of an element subset under a structured payload."""
     rows = list(payload.cost_rows())
     chosen = tuple(sorted(set(members)))
-    f0 = ZERO
-    fk = [ZERO] * payload.K
-    for e in chosen:
-        a, b = rows[e]
-        f0 += Fraction(a) + sum((lm * be for lm, be in zip(lambda_min, b)), ZERO)
-        for k in range(payload.K):
-            fk[k] += b[k]
-    return SolutionRecord(encoding=(kind, chosen), F=(f0, *fk))
+    F = component_vector((rows[e] for e in chosen), lambda_min)
+    return SolutionRecord(encoding=(kind, chosen), F=F)

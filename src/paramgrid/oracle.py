@@ -7,6 +7,7 @@ sample families, never over floating-point surrogates.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -16,6 +17,7 @@ from typing import Sequence
 from .errors import DomainError, TooLargeError
 from .grid import GridSpec, grid_points
 from .model import (
+    ONE,
     ExplicitList,
     Lambda,
     ProblemInstance,
@@ -25,8 +27,8 @@ from .model import (
     Weight,
     ZERO,
     as_fraction,
-    augmented_evaluate,
     check_lambda,
+    check_weight,
     evaluate,
     record_from_elements,
 )
@@ -106,14 +108,17 @@ def pareto_prune(records: Sequence[SolutionRecord], sense: Sense) -> tuple[Solut
 
 
 class _ScanState:
-    """Integerized objective scan over a fixed record list."""
+    """Integerized objective scan over a fixed record list.
 
-    def __init__(self, records: Sequence[SolutionRecord], sense: Sense, K: int):
+    ``best`` takes a weight vector of length K+1; parameter-space callers
+    pass ``(1, lambda - lambda_min)``.  Ties go to the earliest record.
+    """
+
+    def __init__(self, records: Sequence[SolutionRecord], sense: Sense):
         if not records:
             raise DomainError("empty solution pool")
         self.records = tuple(records)
-        self.sense = sense
-        self.K = K
+        self.pick = min if sense is Sense.MIN else max
         self.scale = math.lcm(
             *(v.denominator for rec in self.records for v in rec.F)
         )
@@ -121,20 +126,25 @@ class _ScanState:
             tuple(int(v * self.scale) for v in rec.F) for rec in self.records
         ]
 
-    def best(self, offsets: Sequence[Fraction]) -> tuple[SolutionRecord, Fraction]:
-        q = math.lcm(*(off.denominator for off in offsets)) if offsets else 1
-        mult = [int(off * q) for off in offsets]
-        pick = None
-        pick_val = None
-        want_min = self.sense is Sense.MIN
-        for idx, row in enumerate(self.F_int):
-            val = row[0] * q
-            for k in range(self.K):
-                val += mult[k] * row[k + 1]
-            if pick_val is None or (val < pick_val if want_min else val > pick_val):
-                pick_val = val
-                pick = idx
-        return self.records[pick], Fraction(pick_val, q * self.scale)
+    def best(self, weights: Sequence[Fraction]) -> tuple[SolutionRecord, Fraction]:
+        q = math.lcm(*(v.denominator for v in weights))
+        # q // denominator avoids a Fraction multiply per weight
+        mult = [v.numerator * (q // v.denominator) for v in weights]
+        values = [sum(map(operator.mul, mult, row)) for row in self.F_int]
+        val = self.pick(values)
+        return self.records[values.index(val)], Fraction(val, q * self.scale)
+
+
+def _lambda_weight(instance: ProblemInstance, vec: Lambda) -> Weight:
+    """Scan weight (1, lambda - lambda_min) of a checked parameter vector."""
+    return (ONE, *(v - lo for v, lo in zip(vec, instance.lambda_min)))
+
+
+def _checked_weight(instance: ProblemInstance, w: Sequence[RationalLike]) -> Weight:
+    vec = check_weight(w)
+    if len(vec) != instance.K + 1:
+        raise DomainError(f"weight length {len(vec)} does not match {instance.K + 1} components")
+    return vec
 
 
 @dataclass
@@ -146,51 +156,31 @@ class ExhaustiveOracle:
 
     def __post_init__(self):
         pruned = pareto_prune(enumerate_solutions(self.instance), self.instance.sense)
-        self._scan = _ScanState(pruned, self.instance.sense, self.instance.K)
+        self._scan = _ScanState(pruned, self.instance.sense)
 
     def __call__(self, instance: ProblemInstance, lam: Sequence[RationalLike]) -> SolutionRecord:
-        vec = check_lambda(instance, lam)
-        offsets = [v - lo for v, lo in zip(vec, instance.lambda_min)]
-        rec, _ = self._scan.best(offsets)
-        return rec
+        return self._scan.best(_lambda_weight(instance, check_lambda(instance, lam)))[0]
 
     def optimum(self, lam: Sequence[RationalLike]) -> tuple[SolutionRecord, Fraction]:
         vec = check_lambda(self.instance, lam)
-        offsets = [v - lo for v, lo in zip(vec, self.instance.lambda_min)]
-        return self._scan.best(offsets)
+        return self._scan.best(_lambda_weight(self.instance, vec))
 
 
 def brute_force_optimum(
     instance: ProblemInstance, lam: Sequence[RationalLike]
 ) -> tuple[SolutionRecord, Fraction]:
     """Exact optimizer and optimal value by full enumeration."""
-    vec = check_lambda(instance, lam)
-    records = enumerate_solutions(instance)
-    best_rec = None
-    best_val = None
-    for rec in records:
-        val = evaluate(instance, rec, vec)
-        if best_val is None or (
-            val < best_val if instance.sense is Sense.MIN else val > best_val
-        ):
-            best_rec, best_val = rec, val
-    return best_rec, best_val
+    weight = _lambda_weight(instance, check_lambda(instance, lam))
+    # unpruned, so ties go to the first record in enumeration order
+    return _ScanState(enumerate_solutions(instance), instance.sense).best(weight)
 
 
 def brute_force_optimum_weight(
     instance: ProblemInstance, w: Sequence[RationalLike]
 ) -> tuple[SolutionRecord, Fraction]:
     """Exact optimizer of the weighted component sum over an enumerable instance."""
-    records = enumerate_solutions(instance)
-    best_rec = None
-    best_val = None
-    for rec in records:
-        val = augmented_evaluate(rec, w)
-        if best_val is None or (
-            val < best_val if instance.sense is Sense.MIN else val > best_val
-        ):
-            best_rec, best_val = rec, val
-    return best_rec, best_val
+    weight = _checked_weight(instance, w)
+    return _ScanState(enumerate_solutions(instance), instance.sense).best(weight)
 
 
 def _fraction_in(rng: random.Random, lo: Fraction, hi: Fraction, denominator: int = 4096) -> Fraction:
@@ -315,6 +305,50 @@ def _solution_pool(solutions) -> list[SolutionRecord]:
     return list(solutions)
 
 
+def _verify(
+    instance: ProblemInstance,
+    solutions,
+    beta: RationalLike,
+    probes: Sequence[tuple[str, tuple, Weight]],
+    space: str,
+) -> VerificationReport:
+    """Check the pool against the exact optimum at each (label, point, weight) probe."""
+    b = as_fraction(beta)
+    scan = _ScanState(_solution_pool(solutions), instance.sense)
+    reference = ExhaustiveOracle(instance)._scan
+
+    worst: Fraction | None = None
+    worst_point = None
+    hard = 0
+    strategies: dict[str, StrategyStats] = {}
+    for label, point, weight in probes:
+        _, best_val = scan.best(weight)
+        _, opt_val = reference.best(weight)
+        ratio = _ratio(best_val, opt_val, instance.sense)
+        stats = strategies.setdefault(label, StrategyStats())
+        stats.samples += 1
+        if ratio is None:
+            hard += 1
+            worst_point = point
+        else:
+            if worst is None or ratio > worst:
+                worst = ratio
+                worst_point = point
+            if stats.worst_ratio is None or ratio > stats.worst_ratio:
+                stats.worst_ratio = ratio
+    passed = hard == 0 and worst is not None and worst <= b
+    return VerificationReport(
+        beta=b,
+        samples_tested=len(probes),
+        worst_ratio=worst,
+        worst_point=worst_point,
+        passed=passed,
+        hard_failures=hard,
+        strategies=strategies,
+        space=space,
+    )
+
+
 def verify_approximation_set(
     instance: ProblemInstance,
     solutions,
@@ -322,46 +356,14 @@ def verify_approximation_set(
     samples: Sequence[Lambda] | Sequence[tuple[str, Lambda]],
 ) -> VerificationReport:
     """Check that some pooled solution is beta-approximate at every sample."""
-    b = as_fraction(beta)
-    pool = _solution_pool(solutions)
-    labeled = [
-        s if isinstance(s, tuple) and len(s) == 2 and isinstance(s[0], str) else ("custom", s)
-        for s in samples
-    ]
-    scan = _ScanState(pool, instance.sense, instance.K)
-    reference = ExhaustiveOracle(instance)
-
-    worst: Fraction | None = None
-    worst_point = None
-    hard = 0
-    strategies: dict[str, StrategyStats] = {}
-    for label, lam in labeled:
+    probes = []
+    for s in samples:
+        label, lam = (
+            s if isinstance(s, tuple) and len(s) == 2 and isinstance(s[0], str) else ("custom", s)
+        )
         vec = check_lambda(instance, lam)
-        offsets = [v - lo for v, lo in zip(vec, instance.lambda_min)]
-        _, best_val = scan.best(offsets)
-        _, opt_val = reference._scan.best(offsets)
-        ratio = _ratio(best_val, opt_val, instance.sense)
-        stats = strategies.setdefault(label, StrategyStats())
-        stats.samples += 1
-        if ratio is None:
-            hard += 1
-            worst_point = tuple(vec)
-        else:
-            if worst is None or ratio > worst:
-                worst = ratio
-                worst_point = tuple(vec)
-            if stats.worst_ratio is None or ratio > stats.worst_ratio:
-                stats.worst_ratio = ratio
-    passed = hard == 0 and worst is not None and worst <= b
-    return VerificationReport(
-        beta=b,
-        samples_tested=len(labeled),
-        worst_ratio=worst,
-        worst_point=worst_point,
-        passed=passed,
-        hard_failures=hard,
-        strategies=strategies,
-    )
+        probes.append((label, vec, _lambda_weight(instance, vec)))
+    return _verify(instance, solutions, beta, probes, "parameter")
 
 
 def verify_on_weights(
@@ -371,39 +373,8 @@ def verify_on_weights(
     weights: Sequence[Weight],
 ) -> VerificationReport:
     """Weight-space variant of the set check (covers the w_0 = 0 boundary)."""
-    b = as_fraction(beta)
-    pool = _solution_pool(solutions)
-    records = enumerate_solutions(instance)
-    worst: Fraction | None = None
-    worst_point = None
-    hard = 0
-    stats = StrategyStats()
-    opt_of = min if instance.sense is Sense.MIN else max
-    for w in weights:
-        best_val = opt_of(augmented_evaluate(rec, w) for rec in pool)
-        opt_val = opt_of(augmented_evaluate(rec, w) for rec in records)
-        ratio = _ratio(best_val, opt_val, instance.sense)
-        stats.samples += 1
-        if ratio is None:
-            hard += 1
-            worst_point = tuple(w)
-        else:
-            if worst is None or ratio > worst:
-                worst = ratio
-                worst_point = tuple(w)
-            if stats.worst_ratio is None or ratio > stats.worst_ratio:
-                stats.worst_ratio = ratio
-    passed = hard == 0 and worst is not None and worst <= b
-    return VerificationReport(
-        beta=b,
-        samples_tested=stats.samples,
-        worst_ratio=worst,
-        worst_point=worst_point,
-        passed=passed,
-        hard_failures=hard,
-        strategies={"weights": stats},
-        space="weight",
-    )
+    checked = [_checked_weight(instance, w) for w in weights]
+    return _verify(instance, solutions, beta, [("weights", w, w) for w in checked], "weight")
 
 
 MAX_COVER_SOLUTIONS = 12
@@ -424,7 +395,8 @@ def minimum_cover_size(
     if len(records) > MAX_COVER_SOLUTIONS:
         raise TooLargeError(f"cover search needs at most {MAX_COVER_SOLUTIONS} solutions")
     lams = [check_lambda(instance, lam) for lam in samples]
-    optima = [brute_force_optimum(instance, lam)[1] for lam in lams]
+    scan = _ScanState(records, instance.sense)
+    optima = [scan.best(_lambda_weight(instance, lam))[1] for lam in lams]
 
     covers = []
     for rec in records:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Any
 
 from .engine import ApproximationSet
@@ -207,10 +208,38 @@ def approximation_set_from_dict(doc: dict) -> ApproximationSet:
         K=_int(_require(doc, "K"), "K"),
         c=parse_frac(_require(doc, "c")),
     )
+    if spec.K < 1:
+        raise InvalidInstanceError("K must be at least 1")
+    for rec in solutions:
+        if len(rec.F) != spec.K + 1:
+            raise InvalidInstanceError(
+                f"solution {rec.label} has {len(rec.F)} components, expected {spec.K + 1}"
+            )
+    raw = _require(doc, "entries")
+    if not isinstance(raw, dict):
+        raise InvalidInstanceError("entries must be an object keyed by grid index")
     entries = {}
-    for key, ref in _require(doc, "entries").items():
-        idx = tuple(int(part) for part in key.split(","))
-        entries[idx] = solutions[_int(ref, "entry reference")]
+    for key, ref in raw.items():
+        try:
+            idx = tuple(map(int, key.split(",")))
+        except ValueError:
+            idx = ()
+        if len(idx) != spec.K:
+            raise InvalidInstanceError(f"entry key {key!r} is not {spec.K} integers")
+        if type(ref) is not int or not 0 <= ref < len(solutions):
+            raise InvalidInstanceError(
+                f"entry {key!r} refers to {ref!r}, not one of the {len(solutions)} solutions"
+            )
+        entries[idx] = solutions[ref]
+    # one pass over all coordinates is cheaper than a range check per key
+    if entries and not (
+        spec.lb <= min(chain.from_iterable(entries))
+        and max(chain.from_iterable(entries)) <= spec.ub
+    ):
+        raise InvalidInstanceError(f"an entry key lies outside [{spec.lb}, {spec.ub}]")
+    # distinct in-range keys: the count alone proves every grid point is covered
+    if len(entries) != spec.size:
+        raise InvalidInstanceError(f"entries cover {len(entries)} of the {spec.size} grid points")
     return ApproximationSet(
         requested_eps=parse_frac(_require(doc, "requested_epsilon")),
         eps=parse_frac(_require(doc, "epsilon")),

@@ -18,8 +18,8 @@ from ..model import (
     RationalLike,
     Sense,
     SolutionRecord,
-    ZERO,
     check_lambda,
+    costs_at,
     record_from_elements,
     structured_instance,
 )
@@ -105,10 +105,7 @@ def greedy_solve(instance: ProblemInstance, lam: Sequence[RationalLike]) -> Solu
     """Greedy independent set under profits at lambda; ties by element index."""
     vec = check_lambda(instance, lam)
     system: IndependenceSystem = instance.payload
-    profits = [
-        Fraction(a) + sum((v * be for v, be in zip(vec, b)), ZERO)
-        for a, b in system.elements
-    ]
+    profits = costs_at(system.elements, vec)
     order = sorted(range(system.n), key=lambda e: (-profits[e], e))
     chosen: set[int] = set()
     for e in order:

@@ -20,6 +20,7 @@ from ..model import (
     ZERO,
     as_fraction,
     check_lambda,
+    costs_at,
     record_from_elements,
     structured_instance,
 )
@@ -71,12 +72,7 @@ def knapsack_instance(
 
 
 def _profits(instance: ProblemInstance, lam) -> list[Fraction]:
-    vec = check_lambda(instance, lam)
-    data: KnapsackData = instance.payload
-    return [
-        Fraction(item.a) + sum((v * be for v, be in zip(vec, item.b)), ZERO)
-        for item in data.items
-    ]
+    return costs_at(instance.payload.cost_rows(), check_lambda(instance, lam))
 
 
 def _subset_record(instance: ProblemInstance, chosen: Iterable[int]) -> SolutionRecord:

@@ -21,6 +21,8 @@ from ..model import (
     SolutionRecord,
     ZERO,
     check_lambda,
+    component_vector,
+    costs_at,
     structured_instance,
 )
 
@@ -163,16 +165,9 @@ def cut_record(instance: ProblemInstance, source_side: Iterable[int]) -> Solutio
         raise InvalidInstanceError("cut_record needs a min-cut instance")
     if graph.s not in side or graph.t in side:
         raise InvalidInstanceError("source side must contain s and exclude t")
-    f0 = ZERO
-    fk = [ZERO] * graph.K
-    for arc in graph.arcs:
-        if arc.tail in side and arc.head not in side:
-            f0 += Fraction(arc.a) + sum(
-                (lm * be for lm, be in zip(instance.lambda_min, arc.b)), ZERO
-            )
-            for k in range(graph.K):
-                fk[k] += arc.b[k]
-    return SolutionRecord(encoding=("cut", tuple(sorted(side))), F=(f0, *fk))
+    cut = ((arc.a, arc.b) for arc in graph.arcs if arc.tail in side and arc.head not in side)
+    F = component_vector(cut, instance.lambda_min)
+    return SolutionRecord(encoding=("cut", tuple(sorted(side))), F=F)
 
 
 def min_cut_solve(instance: ProblemInstance, lam: Sequence[RationalLike]) -> SolutionRecord:
@@ -180,8 +175,7 @@ def min_cut_solve(instance: ProblemInstance, lam: Sequence[RationalLike]) -> Sol
     vec = check_lambda(instance, lam)
     graph: CutGraph = instance.payload
     net = _Dinic(graph.n)
-    for arc in graph.arcs:
-        cost = Fraction(arc.a) + sum((v * be for v, be in zip(vec, arc.b)), ZERO)
+    for arc, cost in zip(graph.arcs, costs_at(graph.cost_rows(), vec)):
         if cost < 0:
             raise DomainError(f"arc cost {cost} negative at lambda={vec}")
         if cost > 0:

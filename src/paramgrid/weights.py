@@ -40,33 +40,31 @@ def threshold(
     return e * lb / (b * ub)
 
 
-def _check_group(w: Weight, indices: Iterable[int]) -> tuple[int, ...]:
+def _group_share(
+    w: Sequence[RationalLike], indices: Iterable[int], c: RationalLike
+) -> tuple[Weight, tuple[int, ...], Fraction, Fraction]:
+    """Checked weight, its index group, the group's sum and c times the smallest outside component."""
+    vec = check_weight(w)
     group = tuple(sorted(set(indices)))
-    if not group or len(group) >= len(w):
+    if not group or len(group) >= len(vec):
         raise DomainError("index group must be a nonempty proper subset")
-    if group[0] < 0 or group[-1] >= len(w):
-        raise DomainError(f"index group {group} out of range for {len(w)} components")
-    return group
+    if group[0] < 0 or group[-1] >= len(vec):
+        raise DomainError(f"index group {group} out of range for {len(vec)} components")
+    inside = sum((vec[i] for i in group), ZERO)
+    target = as_fraction(c) * min(vec[j] for j in range(len(vec)) if j not in group)
+    return vec, group, inside, target
 
 
 def below_threshold(w: Sequence[RationalLike], indices: Iterable[int], c: RationalLike) -> bool:
     """True iff the group's component sum is strictly below c times every outside component."""
-    vec = check_weight(w)
-    group = _check_group(vec, indices)
-    cc = as_fraction(c)
-    inside = sum((vec[i] for i in group), ZERO)
-    outside = min(vec[j] for j in range(len(vec)) if j not in group)
-    return inside < cc * outside
+    _, _, inside, target = _group_share(w, indices, c)
+    return inside < target
 
 
 def at_threshold(w: Sequence[RationalLike], indices: Iterable[int], c: RationalLike) -> bool:
     """True iff the group's component sum equals c times the smallest outside component."""
-    vec = check_weight(w)
-    group = _check_group(vec, indices)
-    cc = as_fraction(c)
-    inside = sum((vec[i] for i in group), ZERO)
-    outside = min(vec[j] for j in range(len(vec)) if j not in group)
-    return inside == cc * outside
+    _, _, inside, target = _group_share(w, indices, c)
+    return inside == target
 
 
 def in_cone(w: Sequence[RationalLike], c: RationalLike) -> bool:
@@ -95,13 +93,9 @@ def lift_once(w: Sequence[RationalLike], indices: Iterable[int], c: RationalLike
     if they are all zero); outside components are untouched.  The input is an
     exact convex combination of the result and its group projection.
     """
-    vec = check_weight(w)
-    group = _check_group(vec, indices)
-    cc = as_fraction(c)
-    target = cc * min(vec[j] for j in range(len(vec)) if j not in group)
-    inside = sum((vec[i] for i in group), ZERO)
+    vec, group, inside, target = _group_share(w, indices, c)
     if inside > target:
-        raise DomainError(f"group {group} is above the threshold share for c={cc}")
+        raise DomainError(f"group {group} is above the threshold share for c={c}")
     out = list(vec)
     if inside > 0:
         for i in group:

@@ -103,13 +103,6 @@ class TestApproximate:
         assert a.solutions == b.solutions
         assert a.c == b.c and a.spec == b.spec
 
-    def test_threads_match_sequential(self):
-        inst = toy_knapsack()
-        a = approximate(inst, F(1, 2), threads=1)
-        b = approximate(inst, F(1, 2), threads=4)
-        assert a.entries == b.entries
-        assert a.solutions == b.solutions
-
     def test_output_size_bound(self):
         inst = toy_knapsack()
         aset = approximate(inst, F(1, 2))
@@ -192,7 +185,7 @@ class TestEstimator:
         assert est.predict([(F(0),), (F(1),)]) == [est.query((F(0),)), est.query((F(1),))]
 
     def test_params_round_trip(self):
-        est = GridApproximator(epsilon=F(1, 4), threads=2)
+        est = GridApproximator(epsilon=F(1, 4), grid_cap=1000)
         params = est.get_params()
         clone = GridApproximator(**params)
         assert clone.get_params() == params

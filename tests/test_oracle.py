@@ -5,8 +5,11 @@ import pytest
 from paramgrid import (
     SolutionRecord,
     Sense,
+    augmented_evaluate,
     brute_force_optimum,
+    brute_force_optimum_weight,
     enumerate_solutions,
+    evaluate,
     explicit_instance,
     make_spec,
     minimum_cover_size,
@@ -22,8 +25,10 @@ from paramgrid.solvers import knapsack_data, knapsack_instance, min_cut_solve, k
 
 from conftest import (
     optimum_by_enumeration,
+    optimum_by_enumeration_weight,
     random_cut,
     random_explicit,
+    random_independence,
     random_knapsack,
     random_lambda,
 )
@@ -65,6 +70,60 @@ class TestBruteForce:
         object.__setattr__(inst.payload, "n", 11)  # force past the guard
         with pytest.raises(TooLargeError):
             enumerate_solutions(inst)
+
+
+class TestOneScan:
+    """Every exact optimum search runs the same integer scan; it must agree
+    with plain Fraction enumeration, and brute force must break ties towards
+    the first record in enumeration order."""
+
+    def instances(self, rng):
+        for _ in range(4):
+            yield random_cut(rng, n=5, K=rng.choice([1, 2]), cmax=6)
+            yield random_knapsack(rng, n=6, K=rng.choice([1, 2]), cmax=6)
+            yield random_independence(rng, n=5, K=rng.choice([1, 2]), cmax=6)
+            for sense in (Sense.MIN, Sense.MAX):
+                yield random_explicit(rng, count=10, K=rng.choice([1, 2]), vmax=4, sense=sense)
+
+    def test_agrees_with_enumeration(self, rng):
+        senses = set()
+        for inst in self.instances(rng):
+            senses.add(inst.sense)
+            records = enumerate_solutions(inst)
+            exhaustive = ExhaustiveOracle(inst)
+            for _ in range(6):
+                lam = random_lambda(rng, inst, spread=20)
+                opt = optimum_by_enumeration(inst, lam)
+                x, val = brute_force_optimum(inst, lam)
+                assert val == opt == exhaustive.optimum(lam)[1]
+                assert x == next(r for r in records if evaluate(inst, r, lam) == opt)
+
+                w = tuple(F(rng.randint(0, 6), rng.randint(1, 4)) for _ in range(inst.K + 1))
+                if rng.random() < 0.5:
+                    w = (F(0), *w[1:])
+                wopt = optimum_by_enumeration_weight(inst, w)
+                xw, wval = brute_force_optimum_weight(inst, w)
+                assert wval == wopt
+                assert xw == next(r for r in records if augmented_evaluate(r, w) == wopt)
+
+                probe = rng.choice(records)
+                value = augmented_evaluate(probe, w)
+                report = verify_on_weights(inst, [probe], F(1), [w])
+                assert report.passed == (value == wopt)
+                if value != 0 and wopt != 0:
+                    ratio = value / wopt if inst.sense is Sense.MIN else wopt / value
+                    assert report.worst_ratio == ratio
+        assert senses == {Sense.MIN, Sense.MAX}
+
+    def test_tie_goes_to_first_enumerated(self):
+        # All four tie at lambda = 1 and at w = (1, 1); the Pareto-sorted
+        # scan of ExhaustiveOracle would put "low" first instead.
+        records = [rec("late", 3, 1), rec("tie-a", 2, 2), rec("tie-b", 2, 2), rec("low", 1, 3)]
+        for sense in (Sense.MIN, Sense.MAX):
+            inst = explicit_instance(records, K=1, sense=sense)
+            assert brute_force_optimum(inst, [F(1)]) == (records[0], F(4))
+            assert brute_force_optimum_weight(inst, [F(1), F(1)]) == (records[0], F(4))
+            assert brute_force_optimum_weight(inst, [F(0), F(0)]) == (records[0], F(0))
 
 
 class TestParetoPrune:

@@ -238,3 +238,94 @@ class TestCli:
         assert outputs[0] == outputs[2]
         assert outputs[1] == outputs[3]
         assert sets[0] == sets[1]
+
+
+def fitted_set(tmp_path, capsys):
+    inst_path = write(tmp_path, "inst.json", TOY_KNAPSACK)
+    set_path = str(tmp_path / "set.json")
+    assert main(["approximate", inst_path, "--epsilon", "1/2", "--out", set_path]) == 0
+    capsys.readouterr()
+    return inst_path, json.loads((tmp_path / "set.json").read_text())
+
+
+def _drop_entry(doc):
+    del doc["entries"][min(doc["entries"])]
+
+
+def _refer(ref):
+    def edit(doc):
+        key = min(doc["entries"])
+        doc["entries"][key] = ref(doc)
+    return edit
+
+
+def _rekey(new_key):
+    def edit(doc):
+        entries = doc["entries"]
+        entries[new_key(doc)] = entries.pop(min(entries))
+    return edit
+
+
+def _extra_component(doc):
+    doc["solutions"][0]["F"].append("1")
+
+
+class TestSetFileChecks:
+    """Corrupt set files and mismatched set/instance pairs exit 2, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            _drop_entry,
+            _refer(lambda doc: -1),
+            _refer(lambda doc: len(doc["solutions"])),
+            _refer(lambda doc: "0"),
+            _rekey(lambda doc: "x"),
+            _rekey(lambda doc: str(doc["ub"] + 1)),
+            _rekey(lambda doc: "0,0"),
+            _extra_component,
+        ],
+        ids=[
+            "missing-entry",
+            "reference-negative",
+            "reference-past-end",
+            "reference-not-int",
+            "key-not-integer",
+            "key-out-of-range",
+            "key-wrong-arity",
+            "F-wrong-length",
+        ],
+    )
+    def test_corrupt_set_refused(self, tmp_path, capsys, corrupt):
+        inst_path, doc = fitted_set(tmp_path, capsys)
+        corrupt(doc)
+        with pytest.raises(InvalidInstanceError):
+            approximation_set_from_dict(doc)
+        bad = write(tmp_path, "bad.json", doc)
+        assert main(["query", bad, inst_path, "--lam", "1"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("command", ["query", "verify"])
+    @pytest.mark.parametrize(
+        "other",
+        [
+            {**TOY_KNAPSACK, "K": 2, "lambda_min": [0, 0],
+             "items": [{"a": 3, "b": [1, 0], "weight": 2}, {"a": 2, "b": [4, 1], "weight": 2}]},
+            {"problem": "explicit", "K": 1, "sense": "minimize", "lambda_min": [0],
+             "solutions": [{"id": "x", "F": ["3", "1"]}, {"id": "y", "F": ["2", "4"]}]},
+            {**TOY_KNAPSACK, "lambda_min": [1]},
+        ],
+        ids=["K", "sense", "lambda_min"],
+    )
+    def test_mismatched_instance_refused(self, tmp_path, capsys, command, other):
+        inst_path, _ = fitted_set(tmp_path, capsys)
+        set_path = str(tmp_path / "set.json")
+        other_path = write(tmp_path, "other.json", other)
+        lam = ["--lam", "1"] * other["K"]
+        if command == "query":
+            argv = ["query", set_path, other_path, *lam]
+        else:
+            argv = ["verify", other_path, "--set", set_path, "--beta", "3/2", "--samples", "20"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "does not match the instance" in err
