@@ -12,6 +12,8 @@ All values are exact rationals.
 """
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -176,14 +178,30 @@ def augmented_evaluate(x: SolutionRecord, w: Sequence[RationalLike]) -> Fraction
     return sum((wi * fi for wi, fi in zip(vec, x.F)), ZERO)
 
 
-def costs_at(rows: Iterable[tuple[int, Sequence[int]]], lam: Sequence[Fraction]) -> list[Fraction]:
-    """Cost a_e + sum_k lam_k * b_{k,e} of each (a_e, b_e) row at a parameter vector."""
-    return [Fraction(a) + sum((v * be for v, be in zip(lam, b)), ZERO) for a, b in rows]
+def _clear_denominators(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integers v * D for the common denominator D of ``values``, and D."""
+    D = math.lcm(*(v.denominator for v in values))
+    # D // denominator avoids a Fraction multiply per value
+    return [v.numerator * (D // v.denominator) for v in values], D
+
+
+def scaled_costs(
+    rows: Iterable[tuple[int, Sequence[int]]], lam: Sequence[Fraction]
+) -> tuple[list[int], int]:
+    """Cost a_e + sum_k lam_k * b_{k,e} of each (a_e, b_e) row, times D.
+
+    D is the common denominator of ``lam``, so every cost is the integer
+    returned over D.  Scaling by one positive D keeps every comparison, so
+    solvers can run on the integers and give the same answer.
+    """
+    mult, D = _clear_denominators(lam)
+    return [a * D + sum(map(operator.mul, mult, b)) for a, b in rows], D
 
 
 def element_costs(payload: CostRows, lambda_min: Lambda) -> list[Fraction]:
     """Per-element cost at lambda_min; rejects negatives."""
-    costs = costs_at(payload.cost_rows(), lambda_min)
+    scaled, D = scaled_costs(payload.cost_rows(), lambda_min)
+    costs = [Fraction(c, D) for c in scaled]
     for cost in costs:
         if cost < 0:
             raise InvalidInstanceError(
@@ -198,7 +216,7 @@ def component_vector(
     """F of an element subset given its (a_e, b_e) rows.
 
     The cost is affine in its row, so F_0 is the cost of the summed row at
-    lambda_min: integer sums, then one rational evaluation.
+    lambda_min: integer sums, then one rational division.
     """
     a_sum = 0
     b_sum = [0] * len(lambda_min)
@@ -206,8 +224,8 @@ def component_vector(
         a_sum += a
         for k, be in enumerate(b):
             b_sum[k] += be
-    (f0,) = costs_at([(a_sum, b_sum)], lambda_min)
-    return (f0, *map(Fraction, b_sum))
+    (f0,), D = scaled_costs([(a_sum, b_sum)], lambda_min)
+    return (Fraction(f0, D), *map(Fraction, b_sum))
 
 
 def compute_lambda_min(payload: CostRows) -> Lambda:

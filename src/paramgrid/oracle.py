@@ -11,7 +11,7 @@ import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Sequence
 
 from .errors import DomainError, TooLargeError
@@ -26,6 +26,7 @@ from .model import (
     SolutionRecord,
     Weight,
     ZERO,
+    _clear_denominators,
     as_fraction,
     check_lambda,
     check_weight,
@@ -119,17 +120,12 @@ class _ScanState:
             raise DomainError("empty solution pool")
         self.records = tuple(records)
         self.pick = min if sense is Sense.MIN else max
-        self.scale = math.lcm(
-            *(v.denominator for rec in self.records for v in rec.F)
-        )
-        self.F_int = [
-            tuple(int(v * self.scale) for v in rec.F) for rec in self.records
-        ]
+        flat, self.scale = _clear_denominators([v for rec in self.records for v in rec.F])
+        rest = iter(flat)
+        self.F_int = [tuple(islice(rest, len(rec.F))) for rec in self.records]
 
     def best(self, weights: Sequence[Fraction]) -> tuple[SolutionRecord, Fraction]:
-        q = math.lcm(*(v.denominator for v in weights))
-        # q // denominator avoids a Fraction multiply per weight
-        mult = [v.numerator * (q // v.denominator) for v in weights]
+        mult, q = _clear_denominators(weights)
         values = [sum(map(operator.mul, mult, row)) for row in self.F_int]
         val = self.pick(values)
         return self.records[values.index(val)], Fraction(val, q * self.scale)

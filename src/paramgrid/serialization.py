@@ -39,9 +39,17 @@ def parse_frac(value: Any) -> Fraction:
 
 
 def _require(doc: dict, key: str):
+    if not isinstance(doc, dict):
+        raise InvalidInstanceError(f"expected an object with field {key!r}, got {doc!r}")
     if key not in doc:
         raise InvalidInstanceError(f"missing required field {key!r}")
     return doc[key]
+
+
+def _list(value: Any, what: str) -> list:
+    if not isinstance(value, list):
+        raise InvalidInstanceError(f"{what} must be a list, got {value!r}")
+    return value
 
 
 def _int(value: Any, what: str) -> int:
@@ -153,7 +161,7 @@ def _encoding_from_json(doc: dict) -> tuple:
     kind = _require(doc, "kind")
     if kind == "explicit":
         return (kind, str(_require(doc, "id")))
-    return (kind, tuple(_int(v, "member") for v in _require(doc, "members")))
+    return (kind, tuple(_int(v, "member") for v in _list(_require(doc, "members"), "members")))
 
 
 def solution_to_json(rec: SolutionRecord) -> dict:
@@ -166,7 +174,7 @@ def solution_to_json(rec: SolutionRecord) -> dict:
 def solution_from_json(doc: dict) -> SolutionRecord:
     return SolutionRecord(
         encoding=_encoding_from_json(_require(doc, "encoding")),
-        F=tuple(parse_frac(v) for v in _require(doc, "F")),
+        F=tuple(parse_frac(v) for v in _list(_require(doc, "F"), "F")),
     )
 
 
@@ -196,12 +204,24 @@ def approximation_set_to_dict(aset: ApproximationSet) -> dict:
 
 
 def approximation_set_from_dict(doc: dict) -> ApproximationSet:
-    if doc.get("format") != "paramgrid-approximation-set":
+    if not isinstance(doc, dict) or doc.get("format") != "paramgrid-approximation-set":
         raise InvalidInstanceError("not an approximation-set document")
-    solutions = tuple(solution_from_json(item) for item in _require(doc, "solutions"))
+    solutions = tuple(
+        solution_from_json(item) for item in _list(_require(doc, "solutions"), "solutions")
+    )
+    eps = parse_frac(_require(doc, "epsilon"))
+    alpha = parse_frac(_require(doc, "alpha"))
+    base = parse_frac(_require(doc, "base"))
+    # snap trusts the base, so a wrong one would send queries to wrong cells
+    if base != 1 + eps / 2:
+        raise InvalidInstanceError(f"base {base} is not 1 + epsilon/2 = {1 + eps / 2}")
+    if parse_frac(_require(doc, "guarantee")) != (1 + eps) * alpha:
+        raise InvalidInstanceError(
+            f"guarantee {doc['guarantee']} is not (1 + epsilon) * alpha = {(1 + eps) * alpha}"
+        )
     spec = GridSpec(
-        eps=parse_frac(_require(doc, "epsilon")),
-        base=parse_frac(_require(doc, "base")),
+        eps=eps,
+        base=base,
         lb=_int(_require(doc, "lb"), "lb"),
         ub=_int(_require(doc, "ub"), "ub"),
         lambda_min=tuple(parse_frac(v) for v in _require(doc, "lambda_min")),
@@ -242,8 +262,8 @@ def approximation_set_from_dict(doc: dict) -> ApproximationSet:
         raise InvalidInstanceError(f"entries cover {len(entries)} of the {spec.size} grid points")
     return ApproximationSet(
         requested_eps=parse_frac(_require(doc, "requested_epsilon")),
-        eps=parse_frac(_require(doc, "epsilon")),
-        alpha=parse_frac(_require(doc, "alpha")),
+        eps=eps,
+        alpha=alpha,
         c=parse_frac(_require(doc, "c")),
         spec=spec,
         sense=Sense.parse(_require(doc, "sense")),

@@ -19,8 +19,8 @@ from ..model import (
     Sense,
     SolutionRecord,
     check_lambda,
-    costs_at,
     record_from_elements,
+    scaled_costs,
     structured_instance,
 )
 
@@ -105,7 +105,7 @@ def greedy_solve(instance: ProblemInstance, lam: Sequence[RationalLike]) -> Solu
     """Greedy independent set under profits at lambda; ties by element index."""
     vec = check_lambda(instance, lam)
     system: IndependenceSystem = instance.payload
-    profits = costs_at(system.elements, vec)
+    profits, _ = scaled_costs(system.elements, vec)
     order = sorted(range(system.n), key=lambda e: (-profits[e], e))
     chosen: set[int] = set()
     for e in order:

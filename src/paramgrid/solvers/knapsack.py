@@ -1,14 +1,14 @@
 """Knapsack solvers: exact weight-indexed DP and a profit-scaling scheme.
 
 Item e yields profit a_e + sum_k lambda_k * b_{k,e}; profits are nonnegative
-rationals on the admissible parameter box.  The exact DP compares rational
-profits directly and serves as the default oracle; the scaling solver trades
-accuracy for speed and exists to exercise the scheme-composition path.
+rationals on the admissible parameter box.  Both solvers work on the profits
+times the common denominator of lambda, which are integers.  The exact DP
+serves as the default oracle; the scaling solver trades accuracy for speed
+and exists to exercise the scheme-composition path.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from ..errors import InvalidInstanceError
@@ -17,11 +17,10 @@ from ..model import (
     RationalLike,
     Sense,
     SolutionRecord,
-    ZERO,
     as_fraction,
     check_lambda,
-    costs_at,
     record_from_elements,
+    scaled_costs,
     structured_instance,
 )
 
@@ -71,8 +70,9 @@ def knapsack_instance(
     return structured_instance(data, Sense.MAX, lambda_min=lambda_min, alpha=1)
 
 
-def _profits(instance: ProblemInstance, lam) -> list[Fraction]:
-    return costs_at(instance.payload.cost_rows(), check_lambda(instance, lam))
+def _profits(instance: ProblemInstance, lam) -> list[int]:
+    """Item profits at lambda, all scaled by one positive integer."""
+    return scaled_costs(instance.payload.cost_rows(), check_lambda(instance, lam))[0]
 
 
 def _subset_record(instance: ProblemInstance, chosen: Iterable[int]) -> SolutionRecord:
@@ -82,14 +82,14 @@ def _subset_record(instance: ProblemInstance, chosen: Iterable[int]) -> Solution
 def knapsack_solve(instance: ProblemInstance, lam: Sequence[RationalLike]) -> SolutionRecord:
     """Maximum-profit feasible subset at a fixed parameter vector; exact.
 
-    Weight-indexed DP with exact rational profit comparisons.  Ties prefer
+    Weight-indexed DP with exact integer profit comparisons.  Ties prefer
     not taking an item, making the result deterministic.
     """
     data: KnapsackData = instance.payload
     profits = _profits(instance, lam)
     n = len(data.items)
     W = data.budget
-    best = [ZERO] * (W + 1)
+    best = [0] * (W + 1)
     take = [[False] * (W + 1) for _ in range(n)]
     for i, item in enumerate(data.items):
         if item.weight > W:
@@ -123,12 +123,12 @@ def knapsack_scaling_solve(
     data: KnapsackData = instance.payload
     profits = _profits(instance, lam)
     fitting = [i for i, item in enumerate(data.items) if item.weight <= data.budget]
-    top = max((profits[i] for i in fitting), default=ZERO)
+    top = max((profits[i] for i in fitting), default=0)
     if top == 0:
         return _subset_record(instance, [])
     n = len(fitting)
-    unit = eps * top / n
-    scaled = [int(profits[i] / unit) for i in fitting]
+    # floor(profit / unit) with unit = eps * top / n; profits are nonnegative
+    scaled = [profits[i] * n * eps.denominator // (eps.numerator * top) for i in fitting]
 
     total = sum(scaled)
     INF = data.budget + 1

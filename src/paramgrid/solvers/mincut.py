@@ -2,9 +2,9 @@
 
 Arc r costs a_r + sum_k lambda_k * b_{k,r}; for lambda in the admissible box
 all costs are nonnegative, so the cheapest cut equals the maximum s-t flow.
-Blocking-flow max-flow on exact rational capacities; the returned cut is the
-source side reachable in the final residual network, which is unique and
-deterministic.
+Blocking-flow max-flow on integer capacities, the arc costs times the common
+denominator of lambda; the returned cut is the source side reachable in the
+final residual network, which is unique and deterministic.
 """
 from __future__ import annotations
 
@@ -19,10 +19,9 @@ from ..model import (
     RationalLike,
     Sense,
     SolutionRecord,
-    ZERO,
     check_lambda,
     component_vector,
-    costs_at,
+    scaled_costs,
     structured_instance,
 )
 
@@ -92,15 +91,15 @@ class _Dinic:
         self.n = n
         self.head: list[list[int]] = [[] for _ in range(n)]
         self.to: list[int] = []
-        self.cap: list[Fraction] = []
+        self.cap: list[int] = []
 
-    def add(self, u: int, v: int, cap: Fraction):
+    def add(self, u: int, v: int, cap: int):
         self.head[u].append(len(self.to))
         self.to.append(v)
         self.cap.append(cap)
         self.head[v].append(len(self.to))
         self.to.append(u)
-        self.cap.append(ZERO)
+        self.cap.append(0)
 
     def _levels(self, s: int, t: int) -> list[int] | None:
         level = [-1] * self.n
@@ -115,34 +114,42 @@ class _Dinic:
                     queue.append(v)
         return level if level[t] >= 0 else None
 
-    def _push(self, u: int, t: int, limit: Fraction | None, level, it) -> Fraction:
-        if u == t:
-            return limit
-        while it[u] < len(self.head[u]):
-            e = self.head[u][it[u]]
-            v = self.to[e]
-            if self.cap[e] > 0 and level[v] == level[u] + 1:
-                room = self.cap[e] if limit is None else min(limit, self.cap[e])
-                pushed = self._push(v, t, room, level, it)
-                if pushed is not None and pushed > 0:
-                    self.cap[e] -= pushed
-                    self.cap[e ^ 1] += pushed
-                    return pushed
-            it[u] += 1
-        return ZERO
+    def _push(self, s: int, t: int, level: list[int], it: list[int]) -> int:
+        """Augment one s-t path of the level graph; 0 once the flow is blocking.
 
-    def max_flow(self, s: int, t: int) -> Fraction:
-        flow = ZERO
-        while True:
-            level = self._levels(s, t)
-            if level is None:
-                return flow
-            it = [0] * self.n
-            while True:
-                pushed = self._push(s, t, None, level, it)
-                if pushed is None or pushed == 0:
+        Depth-first along the ``it`` pointers with an explicit edge stack, so
+        deep level graphs need no recursion.  A dead end advances its parent's
+        pointer; the edges of an augmenting path keep theirs.
+        """
+        path: list[int] = []
+        u = s
+        while u != t:
+            edges = self.head[u]
+            while it[u] < len(edges):
+                e = edges[it[u]]
+                if self.cap[e] > 0 and level[self.to[e]] == level[u] + 1:
+                    path.append(e)
+                    u = self.to[e]
                     break
+                it[u] += 1
+            else:
+                if not path:
+                    return 0
+                u = self.to[path.pop() ^ 1]
+                it[u] += 1
+        pushed = min(self.cap[e] for e in path)
+        for e in path:
+            self.cap[e] -= pushed
+            self.cap[e ^ 1] += pushed
+        return pushed
+
+    def max_flow(self, s: int, t: int) -> int:
+        flow = 0
+        while (level := self._levels(s, t)) is not None:
+            it = [0] * self.n
+            while pushed := self._push(s, t, level, it):
                 flow += pushed
+        return flow
 
     def residual_side(self, s: int) -> frozenset[int]:
         seen = {s}
@@ -175,9 +182,10 @@ def min_cut_solve(instance: ProblemInstance, lam: Sequence[RationalLike]) -> Sol
     vec = check_lambda(instance, lam)
     graph: CutGraph = instance.payload
     net = _Dinic(graph.n)
-    for arc, cost in zip(graph.arcs, costs_at(graph.cost_rows(), vec)):
+    costs, D = scaled_costs(graph.cost_rows(), vec)
+    for arc, cost in zip(graph.arcs, costs):
         if cost < 0:
-            raise DomainError(f"arc cost {cost} negative at lambda={vec}")
+            raise DomainError(f"arc cost {Fraction(cost, D)} negative at lambda={vec}")
         if cost > 0:
             net.add(arc.tail, arc.head, cost)
     net.max_flow(graph.s, graph.t)

@@ -270,6 +270,17 @@ def _extra_component(doc):
     doc["solutions"][0]["F"].append("1")
 
 
+def _put(*path):
+    """Edit that sets the field at ``path`` (keys, then the new value)."""
+    *keys, last, value = path
+
+    def edit(doc):
+        for key in keys:
+            doc = doc[key]
+        doc[last] = value
+    return edit
+
+
 class TestSetFileChecks:
     """Corrupt set files and mismatched set/instance pairs exit 2, never a traceback."""
 
@@ -284,6 +295,14 @@ class TestSetFileChecks:
             _rekey(lambda doc: str(doc["ub"] + 1)),
             _rekey(lambda doc: "0,0"),
             _extra_component,
+            lambda doc: [doc],
+            _put("solutions", 5),
+            _put("solutions", 0, 5),
+            _put("solutions", 0, "F", 5),
+            _put("solutions", 0, "encoding", 5),
+            _put("solutions", 0, "encoding", "members", 5),
+            _put("base", "3/2"),
+            _put("guarantee", "2"),
         ],
         ids=[
             "missing-entry",
@@ -294,11 +313,19 @@ class TestSetFileChecks:
             "key-out-of-range",
             "key-wrong-arity",
             "F-wrong-length",
+            "document-not-object",
+            "solutions-not-list",
+            "solution-not-object",
+            "F-not-list",
+            "encoding-not-object",
+            "members-not-list",
+            "base-not-grid-base",
+            "guarantee-not-certified",
         ],
     )
     def test_corrupt_set_refused(self, tmp_path, capsys, corrupt):
         inst_path, doc = fitted_set(tmp_path, capsys)
-        corrupt(doc)
+        doc = corrupt(doc) or doc
         with pytest.raises(InvalidInstanceError):
             approximation_set_from_dict(doc)
         bad = write(tmp_path, "bad.json", doc)

@@ -2,8 +2,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from paramgrid import evaluate
-from paramgrid.errors import TooLargeError
+from paramgrid import ProblemInstance, Sense, evaluate
+from paramgrid.errors import DomainError, TooLargeError
 from paramgrid.oracle import enumerate_solutions
 from paramgrid.solvers import (
     cut_graph,
@@ -50,6 +50,22 @@ class TestMinCut:
         assert inst.lambda_min == (F(-1),)
         rec = min_cut_solve(inst, [F(-1)])
         assert evaluate(inst, rec, [F(-1)]) == 0
+
+    def test_deep_path_needs_no_recursion(self):
+        # 2999 levels in the level graph: deeper than Python's recursion limit
+        arcs = [(i, i + 1, 1 + i % 3, (1,)) for i in range(2999)]
+        inst = mincut_instance(cut_graph(3000, arcs, 0, 2999, 1))
+        rec = min_cut_solve(inst, [F(0)])
+        # every cost-1 arc saturates, so the residual graph cuts s off at arc 0 -> 1
+        assert rec.encoding == ("cut", (0,))
+        assert evaluate(inst, rec, [F(0)]) == 1
+
+    def test_negative_cost_reported_as_rational(self):
+        # built directly: the factories refuse a lambda_min this small
+        graph = cut_graph(2, [(0, 1, 0, (2,))], 0, 1, 1)
+        inst = ProblemInstance(Sense.MIN, 1, (F(-1, 3),), F(1), F(1), F(1), graph)
+        with pytest.raises(DomainError, match="arc cost -2/3 negative"):
+            min_cut_solve(inst, [F(-1, 3)])
 
     def test_matches_enumeration(self, rng):
         for _ in range(20):
