@@ -2,10 +2,11 @@
 
 Turn any exact or alpha-approximate solver for the non-parametric version of
 a problem into a ((1 + eps) * alpha)-approximation for its K-parametric
-version: solve once per point of a logarithmic parameter grid, then answer
-arbitrary parameter queries by lifting them onto the grid.  Ships exact
-min s-t-cut, knapsack and independence-system oracles, a brute-force
-verification layer, and hard-instance fixtures.
+version: solve at the corners of boxes on a logarithmic parameter grid, fill
+every box whose corners agree, then answer arbitrary parameter queries by
+lifting them onto the grid.  Ships exact min s-t-cut, knapsack and
+independence-system oracles, a brute-force verification layer, and
+hard-instance fixtures.
 """
 
 from .engine import (

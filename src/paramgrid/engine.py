@@ -1,12 +1,14 @@
 """Grid algorithm and query path.
 
-``approximate`` calls a non-parametric solver once per point of a logarithmic
-parameter grid and collects the answers keyed by grid index; the result
-covers every admissible parameter vector within factor (1 + eps) times the
-solver's own guarantee.  ``query`` maps an arbitrary parameter vector to its
-responsible grid entry: convert to a simplex weight, lift into the
-irreducible cone, map back to a compact-box parameter vector and snap to its
-grid cell.
+``approximate`` gives every point of a logarithmic parameter grid a solution
+that the non-parametric solver certifies there, keyed by grid index: it
+solves the corners of index boxes and fills a box whose corners agree, so
+it calls the solver at most once per point and usually far less often.  The
+result covers every admissible parameter vector within factor (1 + eps)
+times the solver's own guarantee.  ``query`` maps an arbitrary parameter
+vector to its responsible grid entry: convert to a simplex weight, lift into
+the irreducible cone, map back to a compact-box parameter vector and snap to
+its grid cell.
 
 ``GridApproximator`` wraps the same machinery in a fit/query/predict
 estimator so runs can be configured, cloned and reused like any other
@@ -14,13 +16,14 @@ estimator.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from math import isqrt
 from typing import Callable, Iterable, Sequence
 
-from .errors import EpsilonRangeError, InvalidInstanceError, OracleError
-from .grid import DEFAULT_GRID_CAP, GridIndex, GridSpec, grid_points, make_spec, snap
+from .errors import EpsilonRangeError, GridCapError, InvalidInstanceError, OracleError
+from .grid import DEFAULT_GRID_CAP, GridIndex, GridSpec, make_spec, snap
 from .model import (
     ExplicitList,
     Lambda,
@@ -90,7 +93,12 @@ def rational_sqrt_down(x: RationalLike, precision: int = 10**12) -> Fraction:
 
 @dataclass
 class ApproximationSet:
-    """Output of a grid run: per-cell solutions plus the run's geometry."""
+    """Output of a grid run: per-cell solutions plus the run's geometry.
+
+    ``oracle_calls`` counts the calls the run made; it is not part of the
+    set itself, so it is left out of set files and of equality, and a loaded
+    set reports 0.
+    """
 
     requested_eps: Fraction
     eps: Fraction
@@ -101,6 +109,7 @@ class ApproximationSet:
     entries: dict[GridIndex, SolutionRecord]
     solutions: tuple[SolutionRecord, ...]
     oracle_name: str = ""
+    oracle_calls: int = field(default=0, compare=False)
 
     @property
     def guarantee(self) -> Fraction:
@@ -129,6 +138,13 @@ def approximate(
 ) -> ApproximationSet:
     """Run the grid algorithm and return the populated approximation set.
 
+    Every grid point gets a solution that is alpha-approximate there.  The
+    oracle runs at the corners of index boxes, starting from the whole
+    grid, and never twice at one point; a box whose corners all got the same
+    solution is filled with it, any other box is halved along its longest
+    side.  When every point has its own answer this makes exactly one call
+    per point, as a full-grid loop would.
+
     With a fixed oracle the guarantee is (1 + eps) * alpha.  With an
     accuracy-indexed family the run is split at delta = sqrt(1 + eps) - 1:
     the family is instantiated at guarantee 1 + delta and the grid is built
@@ -154,18 +170,51 @@ def approximate(
     c = threshold(eps_prime, beta, instance.LB, instance.UB)
     spec = make_spec(c, instance.K, run_eps, instance.lambda_min)
 
-    entries: dict[GridIndex, SolutionRecord] = {}
-    # Grid points stream in lexicographic index order, so the interning dict
-    # keeps the distinct solutions in first-appearance order.
+    if spec.size > grid_cap:
+        raise GridCapError(spec.size, grid_cap)
+    powers = {i: spec.base**i for i in range(spec.lb, spec.ub + 1)}
+    # one record object per distinct solution, so corners compare by identity
     interned: dict[tuple, SolutionRecord] = {}
-    for idx, lam in grid_points(spec, cap=grid_cap):
+    solved: dict[GridIndex, SolutionRecord] = {}
+
+    def solve(idx: GridIndex) -> SolutionRecord:
+        lam = tuple(spec.lambda_min[k] + powers[i] for k, i in enumerate(idx))
         try:
             rec = oracle(instance, lam)
         except Exception as exc:  # noqa: BLE001 - contract: abort with offending lambda
             raise OracleError(lam, exc) from exc
         if len(rec.F) != instance.K + 1:
             raise OracleError(lam, f"oracle returned {len(rec.F)} components")
-        entries[idx] = interned.setdefault(rec.encoding, rec)
+        rec = solved[idx] = interned.setdefault(rec.encoding, rec)
+        return rec
+
+    # Box subdivision over grid indices.  A box whose corners all got the
+    # same solution is filled with it: f(x, .) is affine and f_opt concave
+    # (min) or convex (max), so x stays alpha-approximate inside the box.
+    # Otherwise the longest side is halved; the halves share the middle line.
+    filled: dict[GridIndex, SolutionRecord] = {}
+    stack = [((spec.lb,) * instance.K, (spec.ub,) * instance.K)]
+    while stack:
+        lo, hi = stack.pop()
+        corners = [solved.get(idx) or solve(idx) for idx in product(*zip(lo, hi))]
+        sides = [h - l for l, h in zip(lo, hi)]
+        longest = max(sides)
+        if longest <= 1:
+            continue  # every point of the box is a corner, so it is solved
+        if all(rec is corners[0] for rec in corners):
+            box = product(*(range(l, h + 1) for l, h in zip(lo, hi)))
+            filled.update(dict.fromkeys(box, corners[0]))
+            continue
+        k = sides.index(longest)
+        mid = (lo[k] + hi[k]) // 2
+        stack.append((lo, hi[:k] + (mid,) + hi[k + 1 :]))
+        stack.append((lo[:k] + (mid,) + lo[k + 1 :], hi))
+
+    filled.update(solved)  # a solved point keeps the oracle's own answer
+    axis = range(spec.lb, spec.ub + 1)
+    entries = {idx: filled[idx] for idx in product(axis, repeat=instance.K)}
+    # distinct solutions in order of first appearance in lexicographic index order
+    solutions = tuple({id(rec): rec for rec in entries.values()}.values())
 
     return ApproximationSet(
         requested_eps=requested,
@@ -175,8 +224,9 @@ def approximate(
         spec=spec,
         sense=instance.sense,
         entries=entries,
-        solutions=tuple(interned.values()),
+        solutions=solutions,
         oracle_name=oracle.name,
+        oracle_calls=len(solved),
     )
 
 

@@ -13,7 +13,7 @@ from itertools import chain
 from typing import Any
 
 from .engine import ApproximationSet
-from .errors import InvalidInstanceError
+from .errors import DomainError, InvalidInstanceError
 from .grid import GridSpec
 from .model import ProblemInstance, Sense, SolutionRecord, explicit_instance
 from .solvers.independence import from_generators, independence_instance
@@ -82,9 +82,9 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
     if problem == "explicit":
         sense = Sense.parse(_require(doc, "sense"))
         records = []
-        for item in _require(doc, "solutions"):
+        for item in _list(_require(doc, "solutions"), "solutions"):
             name = str(_require(item, "id"))
-            F = [parse_frac(v) for v in _require(item, "F")]
+            F = [parse_frac(v) for v in _list(_require(item, "F"), "F")]
             if len(F) != K + 1:
                 raise InvalidInstanceError(
                     f"solution {name!r} needs {K + 1} components, got {len(F)}"
@@ -95,7 +95,7 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
     if problem == "mincut":
         n = _int(_require(doc, "vertices"), "vertices")
         arcs = []
-        for arc in _require(doc, "arcs"):
+        for arc in _list(_require(doc, "arcs"), "arcs"):
             arcs.append(
                 (
                     _int(_require(arc, "tail"), "tail"),
@@ -111,7 +111,7 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
 
     if problem == "knapsack":
         items = []
-        for item in _require(doc, "items"):
+        for item in _list(_require(doc, "items"), "items"):
             items.append(
                 (
                     _int(_require(item, "a"), "a"),
@@ -124,7 +124,7 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
 
     if problem == "independence":
         elements = []
-        for el in _require(doc, "elements"):
+        for el in _list(_require(doc, "elements"), "elements"):
             elements.append(
                 (_int(_require(el, "a"), "a"), _int_vector(_require(el, "b"), K, "b"))
             )
@@ -196,9 +196,11 @@ def approximation_set_to_dict(aset: ApproximationSet) -> dict:
         "lambda_min": [frac_str(v) for v in aset.spec.lambda_min],
         "oracle": aset.oracle_name,
         "solutions": [solution_to_json(rec) for rec in aset.solutions],
+        # sorting the keys alone allocates no (index, record) pair per entry;
+        # those pairs outlive young collections and can set off a full one
         "entries": {
-            ",".join(map(str, idx)): index[rec.encoding]
-            for idx, rec in sorted(aset.entries.items())
+            ",".join(map(str, idx)): index[aset.entries[idx].encoding]
+            for idx in sorted(aset.entries)
         },
     }
 
@@ -219,7 +221,7 @@ def approximation_set_from_dict(doc: dict) -> ApproximationSet:
         raise InvalidInstanceError(
             f"guarantee {doc['guarantee']} is not (1 + epsilon) * alpha = {(1 + eps) * alpha}"
         )
-    spec = GridSpec(
+    geometry = dict(
         eps=eps,
         base=base,
         lb=_int(_require(doc, "lb"), "lb"),
@@ -228,6 +230,10 @@ def approximation_set_from_dict(doc: dict) -> ApproximationSet:
         K=_int(_require(doc, "K"), "K"),
         c=parse_frac(_require(doc, "c")),
     )
+    try:
+        spec = GridSpec(**geometry)
+    except DomainError as exc:  # lb > ub or base <= 1: the file is wrong, not the query
+        raise InvalidInstanceError(f"bad grid geometry: {exc}") from exc
     if spec.K < 1:
         raise InvalidInstanceError("K must be at least 1")
     for rec in solutions:
@@ -327,7 +333,7 @@ def run_report(aset: ApproximationSet, wall_time_ms: int) -> RunReport:
         lb=aset.spec.lb,
         ub=aset.spec.ub,
         grid_size=aset.grid_size,
-        oracle_calls=aset.grid_size,
+        oracle_calls=aset.oracle_calls,
         distinct_solution_count=aset.distinct_solution_count,
         wall_time_ms=wall_time_ms,
     )

@@ -13,7 +13,7 @@ from itertools import combinations
 
 import pytest
 
-from paramgrid import Sense, augmented_evaluate, evaluate
+from paramgrid import Sense, augmented_evaluate, evaluate, grid_points
 from paramgrid.model import ProblemInstance, SolutionRecord, ZERO
 from paramgrid.oracle import enumerate_solutions
 from paramgrid.solvers import (
@@ -70,6 +70,11 @@ def optimum_by_enumeration_weight(instance: ProblemInstance, w):
         ):
             best = val
     return best
+
+
+def full_grid_entries(instance: ProblemInstance, spec, oracle) -> dict:
+    """Reference fit: the oracle called at every point of the grid."""
+    return {idx: oracle(instance, lam) for idx, lam in grid_points(spec)}
 
 
 def ratio_ok(instance, value, optimum, bound) -> bool:

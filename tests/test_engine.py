@@ -10,8 +10,10 @@ from paramgrid import (
     GridApproximator,
     Oracle,
     OracleFamily,
+    Sense,
     SolutionRecord,
     approximate,
+    default_oracle,
     evaluate,
     explicit_instance,
     guarantee,
@@ -20,10 +22,25 @@ from paramgrid import (
 from paramgrid.engine import rational_sqrt_down
 from paramgrid.errors import OracleError
 from paramgrid.fixtures import forced_cover_gadget
-from paramgrid.oracle import ExhaustiveOracle
-from paramgrid.solvers import knapsack_data, knapsack_instance, knapsack_scaling_solve
+from paramgrid.oracle import ExhaustiveOracle, enumerate_solutions
+from paramgrid.solvers import (
+    greedy_solve,
+    knapsack_data,
+    knapsack_instance,
+    knapsack_scaling_solve,
+    rank_quotient_exact,
+)
 
-from conftest import optimum_by_enumeration, random_knapsack, random_lambda, ratio_ok
+from conftest import (
+    full_grid_entries,
+    optimum_by_enumeration,
+    random_cut,
+    random_explicit,
+    random_independence,
+    random_knapsack,
+    random_lambda,
+    ratio_ok,
+)
 
 
 def single_solution_instance():
@@ -82,7 +99,7 @@ class TestApproximate:
             approximate(inst, F(1, 2), Oracle(fn=broken, alpha=F(1)))
         assert err.value.lam is not None
 
-    def test_oracle_call_count_is_grid_size(self):
+    def test_oracle_call_count_is_measured(self):
         inst = toy_knapsack()
         calls = 0
         inner = ExhaustiveOracle(inst)
@@ -93,7 +110,8 @@ class TestApproximate:
             return inner(instance, lam)
 
         aset = approximate(inst, F(1, 2), Oracle(fn=counting, alpha=F(1)))
-        assert calls == aset.grid_size
+        assert calls == aset.oracle_calls
+        assert calls < aset.grid_size  # 7 of 37 points: boxes with agreeing corners are filled
 
     def test_determinism(self):
         inst = toy_knapsack()
@@ -107,6 +125,75 @@ class TestApproximate:
         inst = toy_knapsack()
         aset = approximate(inst, F(1, 2))
         assert aset.distinct_solution_count <= aset.grid_size
+
+
+class TestBoxFilling:
+    """Box filling against the full-grid reference: every entry certified at
+    its point, the reference's answer wherever the optimum is unique, and no
+    point solved twice."""
+
+    def cases(self, rng):
+        for K, eps in ((1, F(1, 8)), (2, F(9, 10))):
+            for _ in range(2):
+                yield random_cut(rng, n=5, K=K, cmax=4), None, eps
+                yield random_knapsack(rng, n=5, K=K, cmax=4), None, eps
+                for sense in (Sense.MIN, Sense.MAX):
+                    yield random_explicit(rng, count=8, K=K, vmax=4, sense=sense), None, eps
+                # greedy is only rank-quotient approximate on these systems
+                inst = random_independence(rng, n=5, K=K, cmax=4)
+                alpha = rank_quotient_exact(inst.payload)
+                yield inst, Oracle(fn=greedy_solve, alpha=alpha, name="greedy"), eps
+
+    def test_matches_full_grid_reference(self, rng):
+        senses, calls, points = set(), 0, 0
+        for inst, oracle, eps in self.cases(rng):
+            oracle = oracle or default_oracle(inst)
+            aset = approximate(inst, eps, oracle)
+            reference = full_grid_entries(inst, aset.spec, oracle)
+            assert aset.entries.keys() == reference.keys()
+            records = enumerate_solutions(inst)
+            pick = min if inst.sense is Sense.MIN else max
+            for idx, rec in aset.entries.items():
+                lam = aset.spec.point(idx)
+                values = [evaluate(inst, r, lam) for r in records]
+                opt = pick(values)
+                assert ratio_ok(inst, evaluate(inst, rec, lam), opt, aset.alpha)
+                if oracle.alpha == 1 and values.count(opt) == 1:
+                    assert rec.encoding == reference[idx].encoding
+            senses.add(inst.sense)
+            calls += aset.oracle_calls
+            points += aset.grid_size
+        assert senses == {Sense.MIN, Sense.MAX}
+        assert calls < points
+
+    def test_distinct_answers_solve_every_point_once(self):
+        inst = explicit_instance(
+            [SolutionRecord(encoding=("explicit", "only"), F=(F(2), F(1), F(3)))], K=2
+        )
+        seen = []
+
+        def distinct(instance, lam):
+            seen.append(lam)
+            return SolutionRecord(encoding=("explicit", str(lam)), F=(F(1),) * 3)
+
+        aset = approximate(inst, F(1, 2), Oracle(fn=distinct, alpha=F(1)))
+        assert len(seen) == len(set(seen)) == aset.grid_size == aset.oracle_calls
+        assert aset.distinct_solution_count == aset.grid_size
+        for idx, rec in aset.entries.items():
+            assert rec.encoding == ("explicit", str(aset.spec.point(idx)))
+
+    def test_grid_cap_checked_before_any_oracle_call(self):
+        seen = []
+
+        def counting(instance, lam):
+            seen.append(lam)
+            return SolutionRecord(encoding=("explicit", "only"), F=(F(2), F(1)))
+
+        with pytest.raises(GridCapError):
+            approximate(
+                single_solution_instance(), F(1, 100), Oracle(fn=counting, alpha=F(1)), grid_cap=10
+            )
+        assert seen == []
 
 
 class TestQuery:

@@ -3,7 +3,9 @@
 The solver tests compare optimal values with enumeration, which a change in
 tie-breaking or record choice can pass.  These digests pin the exact saved
 bytes (every entry, every record, tie choices included), so a scaling or
-ordering slip that keeps the values but changes a record fails here.
+ordering slip that keeps the values but changes a record fails here.  A
+second test checks every entry against enumeration, so a digest is only
+ever pinned on answers that are alpha-approximate at their grid points.
 """
 from __future__ import annotations
 
@@ -13,7 +15,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from paramgrid import Oracle, OracleFamily, Sense, SolutionRecord, approximate, explicit_instance
+from paramgrid import (
+    Oracle,
+    OracleFamily,
+    Sense,
+    SolutionRecord,
+    approximate,
+    evaluate,
+    explicit_instance,
+)
 from paramgrid.serialization import save_approximation_set
 from paramgrid.solvers import (
     cut_graph,
@@ -24,6 +34,8 @@ from paramgrid.solvers import (
     knapsack_scaling_solve,
     mincut_instance,
 )
+
+from conftest import optimum_by_enumeration, ratio_ok
 
 
 def mincut_k2():
@@ -96,7 +108,7 @@ GOLDEN = {
         "e1aaa5dd666fc01d9d7c8f9cac256fe2faad32c0c256a26231b21a6f2ac9f040",
     ),
     "knapsack-scaling": (knapsack_scheme,
-        "947eaf20bd29e1d19a67bb7ee2f34c8c17468c80731eac8b774347a87ddaa239",
+        "d1509ee704fe4a08167dab3ce22ceed9df8310bad81902857c62ce1b551f1f05",
     ),
     "greedy": (greedy,
         "09bf2c16acf3159fdcf3f2999d37c91c216bfaf4fad318d29c05e7727cee18f1",
@@ -114,3 +126,14 @@ def test_saved_set_matches_golden_digest(tmp_path, name):
     path = tmp_path / "set.json"
     save_approximation_set(approximate(instance, eps, oracle), str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_every_entry_is_alpha_approximate_at_its_point(name):
+    build, _ = GOLDEN[name]
+    instance, oracle, eps = build()
+    aset = approximate(instance, eps, oracle)
+    for idx, rec in aset.entries.items():
+        lam = aset.spec.point(idx)
+        opt = optimum_by_enumeration(instance, lam)
+        assert ratio_ok(instance, evaluate(instance, rec, lam), opt, aset.alpha), idx

@@ -87,6 +87,26 @@ class TestInstanceParsing:
         with pytest.raises(InvalidInstanceError):
             instance_from_dict({**TOY_KNAPSACK, "problem": "mystery"})
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {**TOY_KNAPSACK, "items": 5},
+            {**TOY_MINCUT, "arcs": 5},
+            {**TOY_INDEPENDENCE, "elements": 5},
+            {**TOY_EXPLICIT, "solutions": 5},
+            {**TOY_EXPLICIT, "solutions": [{"id": "x", "F": "12"}]},
+        ],
+        ids=["items-not-list", "arcs-not-list", "elements-not-list",
+             "solutions-not-list", "F-is-string"],
+    )
+    def test_non_list_field_refused(self, tmp_path, capsys, doc):
+        with pytest.raises(InvalidInstanceError):
+            instance_from_dict(doc)
+        inst_path = write(tmp_path, "inst.json", doc)
+        out = str(tmp_path / "set.json")
+        assert main(["approximate", inst_path, "--epsilon", "1/2", "--out", out]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_fraction_parsing(self):
         assert parse_frac("-3/2") == F(-3, 2)
         assert parse_frac(4) == F(4)
@@ -136,7 +156,7 @@ class TestCli:
         assert main(["approximate", inst_path, "--epsilon", "1/2", "--out", set_path]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["guarantee"] == "3/2"
-        assert report["grid_size"] == report["oracle_calls"]
+        assert 0 < report["oracle_calls"] <= report["grid_size"]
 
         assert main(["query", set_path, inst_path, "--lam", "1"]) == 0
         answer = json.loads(capsys.readouterr().out)
@@ -270,6 +290,16 @@ def _extra_component(doc):
     doc["solutions"][0]["F"].append("1")
 
 
+def _swap_bounds(doc):
+    doc["lb"], doc["ub"] = doc["ub"], doc["lb"]
+
+
+def _negative_epsilon(doc):
+    # base and guarantee stay consistent with epsilon, so only the grid check refuses it
+    doc["epsilon"], doc["base"] = "-1/2", "3/4"
+    doc["guarantee"] = str(F(1, 2) * F(doc["alpha"]))
+
+
 def _put(*path):
     """Edit that sets the field at ``path`` (keys, then the new value)."""
     *keys, last, value = path
@@ -303,6 +333,8 @@ class TestSetFileChecks:
             _put("solutions", 0, "encoding", "members", 5),
             _put("base", "3/2"),
             _put("guarantee", "2"),
+            _swap_bounds,
+            _negative_epsilon,
         ],
         ids=[
             "missing-entry",
@@ -321,6 +353,8 @@ class TestSetFileChecks:
             "members-not-list",
             "base-not-grid-base",
             "guarantee-not-certified",
+            "lb-above-ub",
+            "base-not-above-one",
         ],
     )
     def test_corrupt_set_refused(self, tmp_path, capsys, corrupt):
