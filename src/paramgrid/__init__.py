@@ -30,7 +30,7 @@ from .errors import (
     SnapRangeError,
     TooLargeError,
 )
-from .grid import GridSpec, floor_log, grid_bounds, grid_points, make_spec, snap
+from .grid import GridSpec, grid_bounds, grid_points, make_spec, snap
 from .model import (
     ExplicitList,
     ProblemInstance,
@@ -66,7 +66,6 @@ from .weights import (
     lambda_from_weight,
     lift_once,
     lift_to_cone,
-    normalize,
     threshold,
     weight_from_lambda,
 )
@@ -110,7 +109,6 @@ __all__ = [
     "enumerate_solutions",
     "evaluate",
     "explicit_instance",
-    "floor_log",
     "grid_bounds",
     "grid_points",
     "guarantee",
@@ -120,7 +118,6 @@ __all__ = [
     "lift_to_cone",
     "make_spec",
     "minimum_cover_size",
-    "normalize",
     "pareto_prune",
     "query",
     "sample_parameters",

@@ -6,9 +6,9 @@ solves the corners of index boxes and fills a box whose corners agree, so
 it calls the solver at most once per point and usually far less often.  The
 result covers every admissible parameter vector within factor (1 + eps)
 times the solver's own guarantee.  ``query`` maps an arbitrary parameter
-vector to its responsible grid entry: convert to a simplex weight, lift into
-the irreducible cone, map back to a compact-box parameter vector and snap to
-its grid cell.
+vector to its responsible grid entry: convert to the weight
+(1, lambda - lambda_min), lift it into the irreducible cone, map back to a
+compact-box parameter vector and snap to its grid cell.
 
 ``GridApproximator`` wraps the same machinery in a fit/query/predict
 estimator so runs can be configured, cloned and reused like any other
@@ -172,13 +172,12 @@ def approximate(
 
     if spec.size > grid_cap:
         raise GridCapError(spec.size, grid_cap)
-    powers = {i: spec.base**i for i in range(spec.lb, spec.ub + 1)}
     # one record object per distinct solution, so corners compare by identity
     interned: dict[tuple, SolutionRecord] = {}
     solved: dict[GridIndex, SolutionRecord] = {}
 
     def solve(idx: GridIndex) -> SolutionRecord:
-        lam = tuple(spec.lambda_min[k] + powers[i] for k, i in enumerate(idx))
+        lam = spec.point(idx)
         try:
             rec = oracle(instance, lam)
         except Exception as exc:  # noqa: BLE001 - contract: abort with offending lambda
@@ -236,8 +235,9 @@ def query(
     """Solution responsible for a parameter vector.
 
     The returned record is (1 + eps) * alpha approximate at ``lam``
-    (reciprocal form for maximization): weight conversion, cone lifting and
-    snapping compose the run's per-step losses into exactly that factor.
+    (reciprocal form for maximization): conversion to the weight
+    (1, lambda - lambda_min), cone lifting and snapping compose the run's
+    per-step losses into exactly that factor.
     """
     vec = check_lambda(instance, lam)
     w = weight_from_lambda(vec, instance.lambda_min)

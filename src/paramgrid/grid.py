@@ -9,7 +9,9 @@ produces snaps into the grid.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import product
 from typing import Iterator, Sequence
@@ -30,22 +32,6 @@ def _float_log(value: Fraction, base: Fraction) -> float:
     num = math.log(value.numerator) - math.log(value.denominator)
     den = math.log(base.numerator) - math.log(base.denominator)
     return num / den
-
-
-def floor_log(value: RationalLike, base: RationalLike) -> int:
-    """Largest integer m with base^m <= value, exact despite float estimation."""
-    v = as_fraction(value)
-    b = as_fraction(base)
-    if v <= 0:
-        raise DomainError("floor_log requires a positive value")
-    if b <= 1:
-        raise DomainError("floor_log requires base > 1")
-    m = math.floor(_float_log(v, b))
-    while b**m > v:
-        m -= 1
-    while b ** (m + 1) <= v:
-        m += 1
-    return m
 
 
 def grid_bounds(c: RationalLike, K: int, eps: RationalLike) -> tuple[int, int]:
@@ -109,6 +95,11 @@ class GridSpec:
     def size(self) -> int:
         return self.span**self.K
 
+    @cached_property
+    def powers(self) -> tuple[Fraction, ...]:
+        """Exact base^lb, ..., base^(ub+1), built on first use so set loads never pay for it."""
+        return tuple(self.base**i for i in range(self.lb, self.ub + 2))
+
     def point(self, index: Sequence[int]) -> Lambda:
         """Parameter vector of a grid index vector."""
         idx = tuple(index)
@@ -117,9 +108,8 @@ class GridSpec:
         for i in idx:
             if not (self.lb <= i <= self.ub):
                 raise DomainError(f"exponent {i} outside [{self.lb}, {self.ub}]")
-        return tuple(
-            self.lambda_min[k] + self.base ** idx[k] for k in range(self.K)
-        )
+        powers = self.powers
+        return tuple(lm + powers[i - self.lb] for lm, i in zip(self.lambda_min, idx))
 
 
 def make_spec(
@@ -149,29 +139,27 @@ def grid_points(spec: GridSpec, cap: int = DEFAULT_GRID_CAP) -> Iterator[tuple[G
     """Stream (index, parameter vector) pairs in lexicographic index order."""
     if spec.size > cap:
         raise GridCapError(spec.size, cap)
-    powers = {i: spec.base**i for i in range(spec.lb, spec.ub + 1)}
     for idx in product(range(spec.lb, spec.ub + 1), repeat=spec.K):
-        lam = tuple(spec.lambda_min[k] + powers[idx[k]] for k in range(spec.K))
-        yield idx, lam
+        yield idx, spec.point(idx)
 
 
 def snap(spec: GridSpec, lam: Sequence[RationalLike]) -> GridIndex:
     """Grid index of the cell floor of a compact-box point.
 
-    Coordinate k maps to m_k = floor(log_base(lambda_k - lambda_min_k)), so
-    base^{m_k} <= offset <= base^{m_k + 1} holds exactly.  Offsets outside
-    the bracketed box indicate an upstream bug and raise ``SnapRangeError``.
+    Coordinate k maps to the largest m_k with base^{m_k} <= lambda_k - lambda_min_k,
+    found exactly by bisection over the powers in ``spec.powers``.  Offsets outside
+    [base^lb, base^(ub+1)) indicate an upstream bug and raise ``SnapRangeError``.
     """
     vec = as_vector(lam, spec.K)
+    powers = spec.powers
     idx = []
-    for k in range(spec.K):
-        offset = vec[k] - spec.lambda_min[k]
-        if offset <= 0:
-            raise SnapRangeError(f"offset {offset} in coordinate {k} is not positive")
-        m = floor_log(offset, spec.base)
-        if not (spec.lb <= m <= spec.ub):
+    for k, (v, lm) in enumerate(zip(vec, spec.lambda_min)):
+        offset = v - lm
+        # pos counts the powers <= offset, so m_k = lb + pos - 1
+        pos = bisect_right(powers, offset)
+        if not 1 <= pos <= spec.span:
             raise SnapRangeError(
-                f"exponent {m} for offset {offset} outside [{spec.lb}, {spec.ub}]"
+                f"offset {offset} in coordinate {k} outside [base^{spec.lb}, base^{spec.ub + 1})"
             )
-        idx.append(m)
+        idx.append(spec.lb + pos - 1)
     return tuple(idx)

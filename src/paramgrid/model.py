@@ -55,6 +55,8 @@ class Sense(Enum):
 
     @classmethod
     def parse(cls, text: str) -> "Sense":
+        if not isinstance(text, str):
+            raise InvalidInstanceError(f"sense must be a string, got {text!r}")
         key = text.strip().lower()
         if key in ("min", "minimize", "minimise"):
             return cls.MIN

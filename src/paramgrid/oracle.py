@@ -17,7 +17,6 @@ from typing import Sequence
 from .errors import DomainError, TooLargeError
 from .grid import GridSpec, grid_points
 from .model import (
-    ONE,
     ExplicitList,
     Lambda,
     ProblemInstance,
@@ -36,6 +35,7 @@ from .model import (
 from .solvers.independence import IndependenceSystem
 from .solvers.knapsack import KnapsackData
 from .solvers.mincut import CutGraph, cut_record
+from .weights import weight_from_lambda
 
 #: Enumeration guards per family (2^(n-2) cuts, 2^n subsets).
 MAX_CUT_VERTICES = 10
@@ -131,11 +131,6 @@ class _ScanState:
         return self.records[values.index(val)], Fraction(val, q * self.scale)
 
 
-def _lambda_weight(instance: ProblemInstance, vec: Lambda) -> Weight:
-    """Scan weight (1, lambda - lambda_min) of a checked parameter vector."""
-    return (ONE, *(v - lo for v, lo in zip(vec, instance.lambda_min)))
-
-
 def _checked_weight(instance: ProblemInstance, w: Sequence[RationalLike]) -> Weight:
     vec = check_weight(w)
     if len(vec) != instance.K + 1:
@@ -155,18 +150,19 @@ class ExhaustiveOracle:
         self._scan = _ScanState(pruned, self.instance.sense)
 
     def __call__(self, instance: ProblemInstance, lam: Sequence[RationalLike]) -> SolutionRecord:
-        return self._scan.best(_lambda_weight(instance, check_lambda(instance, lam)))[0]
+        vec = check_lambda(instance, lam)
+        return self._scan.best(weight_from_lambda(vec, instance.lambda_min))[0]
 
     def optimum(self, lam: Sequence[RationalLike]) -> tuple[SolutionRecord, Fraction]:
         vec = check_lambda(self.instance, lam)
-        return self._scan.best(_lambda_weight(self.instance, vec))
+        return self._scan.best(weight_from_lambda(vec, self.instance.lambda_min))
 
 
 def brute_force_optimum(
     instance: ProblemInstance, lam: Sequence[RationalLike]
 ) -> tuple[SolutionRecord, Fraction]:
     """Exact optimizer and optimal value by full enumeration."""
-    weight = _lambda_weight(instance, check_lambda(instance, lam))
+    weight = weight_from_lambda(check_lambda(instance, lam), instance.lambda_min)
     # unpruned, so ties go to the first record in enumeration order
     return _ScanState(enumerate_solutions(instance), instance.sense).best(weight)
 
@@ -358,7 +354,7 @@ def verify_approximation_set(
             s if isinstance(s, tuple) and len(s) == 2 and isinstance(s[0], str) else ("custom", s)
         )
         vec = check_lambda(instance, lam)
-        probes.append((label, vec, _lambda_weight(instance, vec)))
+        probes.append((label, vec, weight_from_lambda(vec, instance.lambda_min)))
     return _verify(instance, solutions, beta, probes, "parameter")
 
 
@@ -392,7 +388,7 @@ def minimum_cover_size(
         raise TooLargeError(f"cover search needs at most {MAX_COVER_SOLUTIONS} solutions")
     lams = [check_lambda(instance, lam) for lam in samples]
     scan = _ScanState(records, instance.sense)
-    optima = [scan.best(_lambda_weight(instance, lam))[1] for lam in lams]
+    optima = [scan.best(weight_from_lambda(lam, instance.lambda_min))[1] for lam in lams]
 
     covers = []
     for rec in records:

@@ -159,6 +159,8 @@ def _encoding_to_json(encoding: tuple) -> dict:
 
 def _encoding_from_json(doc: dict) -> tuple:
     kind = _require(doc, "kind")
+    if not isinstance(kind, str):  # encodings must stay hashable
+        raise InvalidInstanceError(f"encoding kind must be a string, got {kind!r}")
     if kind == "explicit":
         return (kind, str(_require(doc, "id")))
     return (kind, tuple(_int(v, "member") for v in _list(_require(doc, "members"), "members")))
@@ -221,14 +223,22 @@ def approximation_set_from_dict(doc: dict) -> ApproximationSet:
         raise InvalidInstanceError(
             f"guarantee {doc['guarantee']} is not (1 + epsilon) * alpha = {(1 + eps) * alpha}"
         )
+    K = _int(_require(doc, "K"), "K")
+    lambda_min = tuple(parse_frac(v) for v in _list(_require(doc, "lambda_min"), "lambda_min"))
+    if len(lambda_min) != K:
+        raise InvalidInstanceError(f"lambda_min has {len(lambda_min)} entries, expected K = {K}")
+    c = parse_frac(_require(doc, "c"))
+    # the cone threshold is defined only on (0, 1)
+    if not 0 < c < 1:
+        raise InvalidInstanceError(f"c must lie in (0, 1), got {c}")
     geometry = dict(
         eps=eps,
         base=base,
         lb=_int(_require(doc, "lb"), "lb"),
         ub=_int(_require(doc, "ub"), "ub"),
-        lambda_min=tuple(parse_frac(v) for v in _require(doc, "lambda_min")),
-        K=_int(_require(doc, "K"), "K"),
-        c=parse_frac(_require(doc, "c")),
+        lambda_min=lambda_min,
+        K=K,
+        c=c,
     )
     try:
         spec = GridSpec(**geometry)
@@ -270,7 +280,7 @@ def approximation_set_from_dict(doc: dict) -> ApproximationSet:
         requested_eps=parse_frac(_require(doc, "requested_epsilon")),
         eps=eps,
         alpha=alpha,
-        c=parse_frac(_require(doc, "c")),
+        c=c,
         spec=spec,
         sense=Sense.parse(_require(doc, "sense")),
         entries=entries,

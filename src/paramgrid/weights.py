@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import DomainError
-from .model import Lambda, RationalLike, Weight, ZERO, as_fraction, check_weight
+from .model import ONE, Lambda, RationalLike, Weight, ZERO, as_fraction, check_weight
 
 
 def threshold(
@@ -67,6 +67,16 @@ def at_threshold(w: Sequence[RationalLike], indices: Iterable[int], c: RationalL
     return inside == target
 
 
+def _first_below(values: Sequence[Fraction], c: Fraction) -> tuple[int, Fraction] | None:
+    """(Last position, sum) of the first prefix below c times the next value, or None."""
+    prefix = ZERO
+    for k in range(len(values) - 1):
+        prefix += values[k]
+        if prefix < c * values[k + 1]:
+            return k, prefix
+    return None
+
+
 def in_cone(w: Sequence[RationalLike], c: RationalLike) -> bool:
     """Membership in the irreducible cone.
 
@@ -74,15 +84,7 @@ def in_cone(w: Sequence[RationalLike], c: RationalLike) -> bool:
     threshold (any qualifying group consists of strictly smaller components
     than everything outside it), so K prefix checks decide membership.
     """
-    vec = check_weight(w)
-    cc = as_fraction(c)
-    values = sorted(vec)
-    prefix = ZERO
-    for k in range(len(values) - 1):
-        prefix += values[k]
-        if prefix < cc * values[k + 1]:
-            return False
-    return True
+    return _first_below(sorted(check_weight(w)), as_fraction(c)) is None
 
 
 def lift_once(w: Sequence[RationalLike], indices: Iterable[int], c: RationalLike) -> Weight:
@@ -132,12 +134,21 @@ class LiftCertificate:
     start: Weight
     steps: tuple[LiftStep, ...]
     final: Weight
-    hull_coefficients: tuple[Fraction, ...]
     order: tuple[int, ...]
 
     @property
     def depth(self) -> int:
         return len(self.steps)
+
+    @property
+    def hull_coefficients(self) -> tuple[Fraction, ...]:
+        """Step l gets (1 - mu_l) times the later mus' product; the final weight all mus'."""
+        coeffs = []
+        tail = Fraction(1)
+        for step in reversed(self.steps):
+            coeffs.append((1 - step.mu) * tail)
+            tail *= step.mu
+        return (*reversed(coeffs), tail)
 
     def hull_vectors(self) -> list[Weight]:
         vecs = []
@@ -173,73 +184,36 @@ def lift_to_cone(w: Sequence[RationalLike], c: RationalLike) -> LiftCertificate:
     cur = [vec[i] for i in order]
 
     steps: list[LiftStep] = []
-    mus: list[Fraction] = []
-    while True:
-        prefix = ZERO
-        hit = None
-        for k in range(n - 1):
-            prefix += cur[k]
-            if prefix < cc * cur[k + 1]:
-                hit = k
-                break
-        if hit is None:
-            break
-        target = cc * cur[hit + 1]
-        inside = sum(cur[: hit + 1], ZERO)
+    while (hit := _first_below(cur, cc)) is not None:
+        top, inside = hit
+        target = cc * cur[top + 1]
         if inside > 0:
             mu = inside / target
-            for i in range(hit + 1):
+            for i in range(top + 1):
                 cur[i] = cur[i] / inside * target
         else:
             mu = ZERO
-            share = target / (hit + 1)
-            for i in range(hit + 1):
+            share = target / (top + 1)
+            for i in range(top + 1):
                 cur[i] = share
         lifted = [ZERO] * n
         for pos, i in enumerate(order):
             lifted[i] = cur[pos]
         steps.append(
             LiftStep(
-                prefix_top=hit,
-                indices=tuple(sorted(order[: hit + 1])),
+                prefix_top=top,
+                indices=tuple(sorted(order[: top + 1])),
                 weight=tuple(lifted),
                 mu=mu,
             )
         )
-        mus.append(mu)
 
     final = steps[-1].weight if steps else vec
-    # theta_final = prod(mu); theta for step l = (1 - mu_l) * prod of later mus.
-    coeffs: list[Fraction] = []
-    for idx in range(len(steps)):
-        tail = Fraction(1)
-        for later in mus[idx + 1 :]:
-            tail *= later
-        coeffs.append((1 - mus[idx]) * tail)
-    head = Fraction(1)
-    for mu in mus:
-        head *= mu
-    coeffs.append(head)
-    return LiftCertificate(
-        start=vec,
-        steps=tuple(steps),
-        final=final,
-        hull_coefficients=tuple(coeffs),
-        order=order,
-    )
-
-
-def normalize(w: Sequence[RationalLike]) -> Weight:
-    """Scale onto the unit simplex; component order is preserved."""
-    vec = check_weight(w)
-    total = sum(vec, ZERO)
-    if total == 0:
-        raise DomainError("cannot normalize the zero weight")
-    return tuple(v / total for v in vec)
+    return LiftCertificate(start=vec, steps=tuple(steps), final=final, order=order)
 
 
 def weight_from_lambda(lam: Sequence[RationalLike], lambda_min: Sequence[RationalLike]) -> Weight:
-    """Simplex weight proportional to (1, lambda - lambda_min)."""
+    """Weight (1, lambda - lambda_min), unnormalized: every later query step is scale-invariant."""
     lam = tuple(lam)
     lambda_min = tuple(lambda_min)
     if len(lam) != len(lambda_min):
@@ -248,7 +222,7 @@ def weight_from_lambda(lam: Sequence[RationalLike], lambda_min: Sequence[Rationa
     for k, off in enumerate(offsets):
         if off < 0:
             raise DomainError(f"lambda[{k}] below its minimum")
-    return normalize((Fraction(1), *offsets))
+    return (ONE, *offsets)
 
 
 def lambda_from_weight(w: Sequence[RationalLike], lambda_min: Sequence[RationalLike]) -> Lambda:

@@ -4,7 +4,7 @@ from math import factorial
 
 import pytest
 
-from paramgrid import DomainError, GridCapError, floor_log, grid_bounds, grid_points, make_spec, snap
+from paramgrid import DomainError, GridCapError, grid_bounds, grid_points, make_spec, snap
 from paramgrid.errors import SnapRangeError
 from paramgrid.grid import GridSpec
 from paramgrid.model import ZERO
@@ -92,9 +92,6 @@ class TestSnap:
     def _spec(self, base=F(3, 2), lb=-50, ub=50, K=1):
         return GridSpec(eps=F(1), base=base, lb=lb, ub=ub, lambda_min=(ZERO,) * K, K=K, c=F(1, 2))
 
-    def test_floor_log_example(self):
-        assert floor_log(F(2), F(3, 2)) == 1
-
     def test_offset_two_base_three_halves(self):
         assert snap(self._spec(), (F(2),)) == (1,)
 
@@ -114,6 +111,16 @@ class TestSnap:
         with pytest.raises(SnapRangeError):
             snap(spec, (ZERO,))
 
+    def test_cell_edges_are_exact(self):
+        spec = self._spec(lb=-2, ub=2)
+        assert spec.powers == tuple(spec.base**i for i in range(-2, 4))
+        tiny = F(1, 10**30)
+        assert snap(spec, (spec.base**-2,)) == (-2,)
+        assert snap(spec, (spec.base**3 - tiny,)) == (2,)
+        for outside in (spec.base**-2 - tiny, spec.base**3):
+            with pytest.raises(SnapRangeError):
+                snap(spec, (outside,))
+
     def test_snap_soundness_bulk(self):
         # 10^5 random offsets in the bracketed box: base^m <= off <= base^{m+1}.
         rng = random.Random(11)
@@ -132,7 +139,9 @@ class TestSnap:
             j = rng.randint(spec.lb, spec.ub - 1)
             off = spec.base**j * (1 + u * (spec.base - 1))
             off = min(max(off, lo), hi)
-            m = floor_log(off, spec.base)
+            idx = snap(spec, (off,) * spec.K)
+            m = idx[0]
+            assert idx == (m,) * spec.K
             assert spec.lb <= m <= spec.ub
             assert spec.base**m <= off <= spec.base ** (m + 1)
 

@@ -1,11 +1,13 @@
 import json
 from fractions import Fraction as F
+from functools import cache
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from paramgrid import approximate, query
 from paramgrid.cli import main
-from paramgrid.errors import InvalidInstanceError
+from paramgrid.errors import InvalidInstanceError, ParamGridError
 from paramgrid.serialization import (
     approximation_set_from_dict,
     approximation_set_to_dict,
@@ -95,9 +97,10 @@ class TestInstanceParsing:
             {**TOY_INDEPENDENCE, "elements": 5},
             {**TOY_EXPLICIT, "solutions": 5},
             {**TOY_EXPLICIT, "solutions": [{"id": "x", "F": "12"}]},
+            {**TOY_EXPLICIT, "sense": 5},
         ],
         ids=["items-not-list", "arcs-not-list", "elements-not-list",
-             "solutions-not-list", "F-is-string"],
+             "solutions-not-list", "F-is-string", "sense-not-string"],
     )
     def test_non_list_field_refused(self, tmp_path, capsys, doc):
         with pytest.raises(InvalidInstanceError):
@@ -131,6 +134,13 @@ class TestApproximationSetRoundTrip:
         # queries agree through the round trip
         for lam in ((F(0),), (F(7, 3),), (F(10) ** 6,)):
             assert query(loaded, inst, lam) == query(aset, inst, lam)
+
+    def test_load_defers_the_power_table(self):
+        inst = instance_from_dict(TOY_KNAPSACK)
+        loaded = approximation_set_from_dict(approximation_set_to_dict(approximate(inst, F(1, 2))))
+        assert "powers" not in vars(loaded.spec)
+        query(loaded, inst, (F(7, 3),))
+        assert "powers" in vars(loaded.spec)
 
     def test_serialized_form_is_stable(self):
         inst = instance_from_dict(TOY_KNAPSACK)
@@ -335,6 +345,11 @@ class TestSetFileChecks:
             _put("guarantee", "2"),
             _swap_bounds,
             _negative_epsilon,
+            _put("lambda_min", "0"),
+            _put("lambda_min", ["0", "1"]),
+            _put("sense", 5),
+            _put("c", "0"),
+            _put("solutions", 0, "encoding", "kind", []),
         ],
         ids=[
             "missing-entry",
@@ -355,6 +370,11 @@ class TestSetFileChecks:
             "guarantee-not-certified",
             "lb-above-ub",
             "base-not-above-one",
+            "lambda-min-string",
+            "lambda-min-wrong-length",
+            "sense-not-string",
+            "c-not-in-unit-interval",
+            "encoding-kind-not-string",
         ],
     )
     def test_corrupt_set_refused(self, tmp_path, capsys, corrupt):
@@ -390,3 +410,56 @@ class TestSetFileChecks:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "does not match the instance" in err
+
+
+@cache
+def _saved_toy_set() -> str:
+    aset = approximate(instance_from_dict(TOY_KNAPSACK), F(1, 2))
+    return json.dumps(approximation_set_to_dict(aset))
+
+
+def _field_paths(node, path=()):
+    """Paths (keys and list positions) of every field below ``node``."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return []
+    out = []
+    for key, child in items:
+        out.append((*path, key))
+        out.extend(_field_paths(child, (*path, key)))
+    return out
+
+
+def _json_type(value) -> type:
+    return type(None) if value is None else type(value)
+
+
+FIELD_PATHS = _field_paths(json.loads(_saved_toy_set()))
+JSON_VALUES = st.one_of(
+    st.integers(min_value=-10**6, max_value=10**6),
+    st.text(max_size=6),
+    st.lists(st.integers(min_value=-3, max_value=3) | st.text(max_size=3), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(min_value=-3, max_value=3), max_size=2),
+    st.none(),
+)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(path=st.sampled_from(FIELD_PATHS), value=JSON_VALUES)
+def test_retyped_field_loads_or_is_refused(path, value):
+    """A field of a saved set given another JSON type is loaded or refused, never a crash."""
+    doc = json.loads(_saved_toy_set())
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    assume(_json_type(value) is not _json_type(parent[path[-1]]))
+    parent[path[-1]] = value
+    try:
+        aset = approximation_set_from_dict(doc)
+    except ParamGridError:
+        return
+    # whatever loads must save again
+    approximation_set_to_dict(aset)

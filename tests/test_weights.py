@@ -14,7 +14,6 @@ from paramgrid import (
     lambda_from_weight,
     lift_once,
     lift_to_cone,
-    normalize,
     threshold,
     weight_from_lambda,
 )
@@ -187,7 +186,8 @@ class TestLiftToCone:
             w = self._random_weight(rng, K + 1)
             cert = lift_to_cone(w, c)
             floor = c**K / factorial(K + 1)
-            assert all(v >= floor for v in normalize(cert.final))
+            total = sum(cert.final)
+            assert all(v / total >= floor for v in cert.final)
 
     def test_compact_box_bound(self):
         rng = random.Random(9)
@@ -197,24 +197,20 @@ class TestLiftToCone:
             lam = tuple(F(rng.randint(0, 400), 16) for _ in range(K))
             w = weight_from_lambda(lam, (ZERO,) * K)
             cert = lift_to_cone(w, c)
-            image = lambda_from_weight(normalize(cert.final), (ZERO,) * K)
+            image = lambda_from_weight(cert.final, (ZERO,) * K)
             lo = c**K / factorial(K + 1)
             hi = factorial(K + 1) / c**K
             assert all(lo <= v <= hi for v in image)
 
 
 class TestSimplexMaps:
-    def test_normalize(self):
-        assert normalize((1, 2, 3)) == (F(1, 6), F(2, 6), F(3, 6))
-        assert normalize((F(1, 5), 0, 0)) == (F(1), ZERO, ZERO)
-        assert normalize((4, 4)) == (F(1, 2), F(1, 2))
-        with pytest.raises(DomainError):
-            normalize((0, 0))
-
     def test_weight_from_lambda(self):
         assert weight_from_lambda((0, 0), (0, 0)) == (F(1), ZERO, ZERO)
-        assert weight_from_lambda((2, 3), (0, 0)) == (F(1, 6), F(2, 6), F(3, 6))
-        assert weight_from_lambda((1,), (0,)) == (F(1, 2), F(1, 2))
+        assert weight_from_lambda((2, 3), (0, 0)) == (F(1), F(2), F(3))
+        assert weight_from_lambda((1,), (0,)) == (F(1), F(1))
+        assert weight_from_lambda((F(1, 2), 3), (-1, 2)) == (F(1), F(3, 2), F(1))
+        with pytest.raises(DomainError):
+            weight_from_lambda((0,), (1,))
 
     def test_lambda_from_weight(self):
         assert lambda_from_weight((F(1, 2), F(1, 4), F(1, 4)), (0, 0)) == (F(1, 2), F(1, 2))
