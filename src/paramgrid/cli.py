@@ -7,7 +7,8 @@ fact checks) and ``fixtures list``.
 
 Exit codes: 0 success, 2 schema error, 3 accuracy parameter out of range,
 4 grid cap exceeded, 5 parameter vector below its domain, 6 verification
-failed (the report is still written).
+failed (the report is still written), 7 instance too large for the exhaustive
+reference that ``verify`` enumerates.
 """
 from __future__ import annotations
 
@@ -24,7 +25,9 @@ from .errors import (
     GridCapError,
     InvalidInstanceError,
     ParamGridError,
+    TooLargeError,
 )
+from .grid import DEFAULT_GRID_CAP
 from .model import evaluate
 
 EXIT_OK = 0
@@ -33,6 +36,7 @@ EXIT_EPSILON = 3
 EXIT_GRID_CAP = 4
 EXIT_DOMAIN = 5
 EXIT_VERIFY = 6
+EXIT_TOO_LARGE = 7
 
 
 def _parse_fraction_arg(text: str) -> Fraction:
@@ -55,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="accuracy parameter in (0,1), e.g. 1/2")
     p_approx.add_argument("--out", required=True, help="output path for the approximation set")
     p_approx.add_argument("--report", help="optional output path for the run report")
-    p_approx.add_argument("--grid-cap", type=int, default=10**8,
+    p_approx.add_argument("--grid-cap", type=int, default=DEFAULT_GRID_CAP,
                           help="refuse grids larger than this many points")
 
     p_query = sub.add_parser("query", help="look up the solution for a parameter vector")
@@ -181,6 +185,9 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except TooLargeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_TOO_LARGE
     except (InvalidInstanceError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA

@@ -9,12 +9,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import product
 from typing import Any
 
 from .engine import ApproximationSet
 from .errors import DomainError, InvalidInstanceError
-from .grid import GridSpec
+from .grid import make_spec
 from .model import ProblemInstance, Sense, SolutionRecord, explicit_instance
 from .solvers.independence import from_generators, independence_instance
 from .solvers.knapsack import knapsack_data, knapsack_instance
@@ -182,108 +182,70 @@ def solution_from_json(doc: dict) -> SolutionRecord:
 
 def approximation_set_to_dict(aset: ApproximationSet) -> dict:
     index = {rec.encoding: i for i, rec in enumerate(aset.solutions)}
+    spec = aset.spec
+    grid = product(range(spec.lb, spec.ub + 1), repeat=spec.K)
     return {
         "format": "paramgrid-approximation-set",
-        "version": 1,
+        "version": 2,
         "sense": aset.sense.value,
         "requested_epsilon": frac_str(aset.requested_eps),
         "epsilon": frac_str(aset.eps),
         "alpha": frac_str(aset.alpha),
-        "guarantee": frac_str(aset.guarantee),
         "c": frac_str(aset.c),
-        "base": frac_str(aset.spec.base),
-        "lb": aset.spec.lb,
-        "ub": aset.spec.ub,
-        "K": aset.spec.K,
-        "lambda_min": [frac_str(v) for v in aset.spec.lambda_min],
+        "K": spec.K,
+        "lambda_min": [frac_str(v) for v in spec.lambda_min],
         "oracle": aset.oracle_name,
         "solutions": [solution_to_json(rec) for rec in aset.solutions],
-        # sorting the keys alone allocates no (index, record) pair per entry;
-        # those pairs outlive young collections and can set off a full one
-        "entries": {
-            ",".join(map(str, idx)): index[aset.entries[idx].encoding]
-            for idx in sorted(aset.entries)
-        },
+        "cells": [index[aset.entries[idx].encoding] for idx in grid],
     }
 
 
 def approximation_set_from_dict(doc: dict) -> ApproximationSet:
     if not isinstance(doc, dict) or doc.get("format") != "paramgrid-approximation-set":
         raise InvalidInstanceError("not an approximation-set document")
+    if doc.get("version") != 2:
+        raise InvalidInstanceError(
+            f"set-file version {doc.get('version')!r} is not supported; refit the set"
+            " with `paramgrid approximate` to write version 2"
+        )
     solutions = tuple(
         solution_from_json(item) for item in _list(_require(doc, "solutions"), "solutions")
     )
-    eps = parse_frac(_require(doc, "epsilon"))
-    alpha = parse_frac(_require(doc, "alpha"))
-    base = parse_frac(_require(doc, "base"))
-    # snap trusts the base, so a wrong one would send queries to wrong cells
-    if base != 1 + eps / 2:
-        raise InvalidInstanceError(f"base {base} is not 1 + epsilon/2 = {1 + eps / 2}")
-    if parse_frac(_require(doc, "guarantee")) != (1 + eps) * alpha:
-        raise InvalidInstanceError(
-            f"guarantee {doc['guarantee']} is not (1 + epsilon) * alpha = {(1 + eps) * alpha}"
-        )
+    # saving indexes solutions by encoding, so a repeat would capture the references
+    if len({rec.encoding for rec in solutions}) != len(solutions):
+        raise InvalidInstanceError("solutions repeat an encoding")
     K = _int(_require(doc, "K"), "K")
-    lambda_min = tuple(parse_frac(v) for v in _list(_require(doc, "lambda_min"), "lambda_min"))
-    if len(lambda_min) != K:
-        raise InvalidInstanceError(f"lambda_min has {len(lambda_min)} entries, expected K = {K}")
-    c = parse_frac(_require(doc, "c"))
-    # the cone threshold is defined only on (0, 1)
-    if not 0 < c < 1:
-        raise InvalidInstanceError(f"c must lie in (0, 1), got {c}")
-    geometry = dict(
-        eps=eps,
-        base=base,
-        lb=_int(_require(doc, "lb"), "lb"),
-        ub=_int(_require(doc, "ub"), "ub"),
-        lambda_min=lambda_min,
-        K=K,
-        c=c,
-    )
-    try:
-        spec = GridSpec(**geometry)
-    except DomainError as exc:  # lb > ub or base <= 1: the file is wrong, not the query
-        raise InvalidInstanceError(f"bad grid geometry: {exc}") from exc
-    if spec.K < 1:
+    if K < 1:
         raise InvalidInstanceError("K must be at least 1")
     for rec in solutions:
-        if len(rec.F) != spec.K + 1:
+        if len(rec.F) != K + 1:
             raise InvalidInstanceError(
-                f"solution {rec.label} has {len(rec.F)} components, expected {spec.K + 1}"
+                f"solution {rec.label} has {len(rec.F)} components, expected {K + 1}"
             )
-    raw = _require(doc, "entries")
-    if not isinstance(raw, dict):
-        raise InvalidInstanceError("entries must be an object keyed by grid index")
-    entries = {}
-    for key, ref in raw.items():
-        try:
-            idx = tuple(map(int, key.split(",")))
-        except ValueError:
-            idx = ()
-        if len(idx) != spec.K:
-            raise InvalidInstanceError(f"entry key {key!r} is not {spec.K} integers")
+    eps = parse_frac(_require(doc, "epsilon"))
+    c = parse_frac(_require(doc, "c"))
+    lambda_min = [parse_frac(v) for v in _list(_require(doc, "lambda_min"), "lambda_min")]
+    try:
+        spec = make_spec(c, K, eps, lambda_min)
+    except DomainError as exc:  # c or epsilon outside (0, 1): the file is wrong, not the query
+        raise InvalidInstanceError(f"bad grid geometry: {exc}") from exc
+    cells = _list(_require(doc, "cells"), "cells")
+    if len(cells) != spec.size:
+        raise InvalidInstanceError(f"cells cover {len(cells)} of the {spec.size} grid points")
+    for ref in cells:
         if type(ref) is not int or not 0 <= ref < len(solutions):
             raise InvalidInstanceError(
-                f"entry {key!r} refers to {ref!r}, not one of the {len(solutions)} solutions"
+                f"a cell refers to {ref!r}, not one of the {len(solutions)} solutions"
             )
-        entries[idx] = solutions[ref]
-    # one pass over all coordinates is cheaper than a range check per key
-    if entries and not (
-        spec.lb <= min(chain.from_iterable(entries))
-        and max(chain.from_iterable(entries)) <= spec.ub
-    ):
-        raise InvalidInstanceError(f"an entry key lies outside [{spec.lb}, {spec.ub}]")
-    # distinct in-range keys: the count alone proves every grid point is covered
-    if len(entries) != spec.size:
-        raise InvalidInstanceError(f"entries cover {len(entries)} of the {spec.size} grid points")
+    grid = product(range(spec.lb, spec.ub + 1), repeat=K)
     return ApproximationSet(
         requested_eps=parse_frac(_require(doc, "requested_epsilon")),
         eps=eps,
-        alpha=alpha,
+        alpha=parse_frac(_require(doc, "alpha")),
         c=c,
         spec=spec,
         sense=Sense.parse(_require(doc, "sense")),
-        entries=entries,
+        entries=dict(zip(grid, map(solutions.__getitem__, cells))),
         solutions=solutions,
         oracle_name=doc.get("oracle", ""),
     )

@@ -2,7 +2,7 @@
 
 The solver tests compare optimal values with enumeration, which a change in
 tie-breaking or record choice can pass.  These digests pin the exact saved
-bytes (every entry, every record, tie choices included), so a scaling or
+bytes (every cell, every record, tie choices included), so a scaling or
 ordering slip that keeps the values but changes a record fails here.  A
 second test checks every entry against enumeration, so a digest is only
 ever pinned on answers that are alpha-approximate at their grid points.
@@ -102,19 +102,19 @@ def explicit_k2():
 
 GOLDEN = {
     "mincut-k2": (mincut_k2,
-        "af24b22dcef6fb68bebb696b9113b140d839fba063ee602913949fb22aad37bf",
+        "3c9ed624f1efa8e25c71d361aceeb3ef34409a443a93a9db0a8483fd9de024d3",
     ),
     "knapsack-dp-eps-1/8": (knapsack_fine,
-        "e1aaa5dd666fc01d9d7c8f9cac256fe2faad32c0c256a26231b21a6f2ac9f040",
+        "6d297ee6b8f74037c96574abb6e2a1186cfc029f2abcc007bf019c1c828fce97",
     ),
     "knapsack-scaling": (knapsack_scheme,
-        "d1509ee704fe4a08167dab3ce22ceed9df8310bad81902857c62ce1b551f1f05",
+        "0805688857280c252665910df3f681361023b0101dde6da6c84833d23f2aaba2",
     ),
     "greedy": (greedy,
-        "09bf2c16acf3159fdcf3f2999d37c91c216bfaf4fad318d29c05e7727cee18f1",
+        "68a3094f0365424b0f6895c27ae255046b062ead1728bf24839d3d26d3a4e019",
     ),
     "explicit-k2": (explicit_k2,
-        "59ad59bfa864abe5483af8c91472f513da4ff36f6a6b9d62ef9c1a6ad62a4126",
+        "5fbda2d0b9e45bbc65837fa9a9f08c4245ff032c872708acd49075b9d2d7cc70",
     ),
 }
 

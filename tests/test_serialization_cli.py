@@ -152,6 +152,12 @@ class TestApproximationSetRoundTrip:
         with pytest.raises(InvalidInstanceError):
             approximation_set_from_dict({"format": "something-else"})
 
+    def test_version_1_asks_for_a_refit(self):
+        doc = approximation_set_to_dict(approximate(instance_from_dict(TOY_KNAPSACK), F(1, 2)))
+        doc["version"] = 1
+        with pytest.raises(InvalidInstanceError, match="refit"):
+            approximation_set_from_dict(doc)
+
 
 def write(tmp_path, name, doc):
     path = tmp_path / name
@@ -221,10 +227,9 @@ class TestCli:
         main(["approximate", inst_path, "--epsilon", "1/2", "--out", set_path])
         capsys.readouterr()
         doc = json.loads((tmp_path / "set.json").read_text())
-        lowest = str(min(int(k) for k in doc["entries"]))
-        keep = doc["entries"][lowest]
+        keep = doc["cells"][0]  # the cell of the lowest grid index
         doc["solutions"] = [doc["solutions"][keep]]
-        doc["entries"] = {k: 0 for k in doc["entries"]}
+        doc["cells"] = [0] * len(doc["cells"])
         truncated = write(tmp_path, "trunc.json", doc)
         code = main([
             "verify", inst_path, "--set", truncated, "--beta", "3/2",
@@ -234,6 +239,20 @@ class TestCli:
         verdict = json.loads(capsys.readouterr().out)
         assert verdict["passed"] is False
         assert F(verdict["worst_ratio"]) > F(3, 2)
+
+    def test_exit_code_too_large(self, tmp_path, capsys):
+        # an 11-vertex path cut fits fine, but verify's reference enumerates n <= 10 vertices
+        path_cut = {
+            "problem": "mincut", "K": 1, "vertices": 11, "source": 0, "sink": 10,
+            "arcs": [{"tail": v, "head": v + 1, "a": v + 1, "b": [v % 3]} for v in range(10)],
+        }
+        inst_path = write(tmp_path, "inst.json", path_cut)
+        set_path = str(tmp_path / "set.json")
+        assert main(["approximate", inst_path, "--epsilon", "1/2", "--out", set_path]) == 0
+        capsys.readouterr()
+        code = main(["verify", inst_path, "--set", set_path, "--beta", "3/2", "--samples", "20"])
+        assert code == 7
+        assert capsys.readouterr().err.startswith("error: cut enumeration")
 
     def test_fixture_commands(self, capsys):
         assert main(["fixtures", "list"]) == 0
@@ -279,35 +298,17 @@ def fitted_set(tmp_path, capsys):
 
 
 def _drop_entry(doc):
-    del doc["entries"][min(doc["entries"])]
+    doc["cells"].pop()
 
 
 def _refer(ref):
     def edit(doc):
-        key = min(doc["entries"])
-        doc["entries"][key] = ref(doc)
-    return edit
-
-
-def _rekey(new_key):
-    def edit(doc):
-        entries = doc["entries"]
-        entries[new_key(doc)] = entries.pop(min(entries))
+        doc["cells"][0] = ref(doc)
     return edit
 
 
 def _extra_component(doc):
     doc["solutions"][0]["F"].append("1")
-
-
-def _swap_bounds(doc):
-    doc["lb"], doc["ub"] = doc["ub"], doc["lb"]
-
-
-def _negative_epsilon(doc):
-    # base and guarantee stay consistent with epsilon, so only the grid check refuses it
-    doc["epsilon"], doc["base"] = "-1/2", "3/4"
-    doc["guarantee"] = str(F(1, 2) * F(doc["alpha"]))
 
 
 def _put(*path):
@@ -331,9 +332,6 @@ class TestSetFileChecks:
             _refer(lambda doc: -1),
             _refer(lambda doc: len(doc["solutions"])),
             _refer(lambda doc: "0"),
-            _rekey(lambda doc: "x"),
-            _rekey(lambda doc: str(doc["ub"] + 1)),
-            _rekey(lambda doc: "0,0"),
             _extra_component,
             lambda doc: [doc],
             _put("solutions", 5),
@@ -341,24 +339,24 @@ class TestSetFileChecks:
             _put("solutions", 0, "F", 5),
             _put("solutions", 0, "encoding", 5),
             _put("solutions", 0, "encoding", "members", 5),
-            _put("base", "3/2"),
-            _put("guarantee", "2"),
-            _swap_bounds,
-            _negative_epsilon,
+            # the derived base 1 + epsilon/2 would be 3/4
+            _put("epsilon", "-1/2"),
             _put("lambda_min", "0"),
             _put("lambda_min", ["0", "1"]),
             _put("sense", 5),
             _put("c", "0"),
             _put("solutions", 0, "encoding", "kind", []),
+            lambda doc: doc["solutions"].append(doc["solutions"][0]),
+            _put("version", 1),
+            _put("cells", {}),
+            _refer(lambda doc: True),
+            lambda doc: doc["cells"].append(0),
         ],
         ids=[
             "missing-entry",
             "reference-negative",
             "reference-past-end",
             "reference-not-int",
-            "key-not-integer",
-            "key-out-of-range",
-            "key-wrong-arity",
             "F-wrong-length",
             "document-not-object",
             "solutions-not-list",
@@ -366,15 +364,17 @@ class TestSetFileChecks:
             "F-not-list",
             "encoding-not-object",
             "members-not-list",
-            "base-not-grid-base",
-            "guarantee-not-certified",
-            "lb-above-ub",
             "base-not-above-one",
             "lambda-min-string",
             "lambda-min-wrong-length",
             "sense-not-string",
             "c-not-in-unit-interval",
             "encoding-kind-not-string",
+            "solutions-repeat-encoding",
+            "version-1",
+            "cells-not-list",
+            "cell-is-bool",
+            "cells-one-too-many",
         ],
     )
     def test_corrupt_set_refused(self, tmp_path, capsys, corrupt):
