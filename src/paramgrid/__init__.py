@@ -11,12 +11,10 @@ hard-instance fixtures.
 
 from .engine import (
     ApproximationSet,
-    GridApproximator,
     Oracle,
     OracleFamily,
     approximate,
     default_oracle,
-    guarantee,
     query,
 )
 from .errors import (
@@ -40,7 +38,6 @@ from .model import (
     augmented_evaluate,
     check_lambda,
     check_weight,
-    compute_bounds,
     compute_lambda_min,
     evaluate,
     explicit_instance,
@@ -49,22 +46,17 @@ from .oracle import (
     ExhaustiveOracle,
     VerificationReport,
     brute_force_optimum,
-    brute_force_optimum_weight,
     enumerate_solutions,
     minimum_cover_size,
     pareto_prune,
-    sample_parameters,
     sample_parameters_labeled,
     verify_approximation_set,
     verify_on_weights,
 )
 from .weights import (
     LiftCertificate,
-    at_threshold,
-    below_threshold,
     in_cone,
     lambda_from_weight,
-    lift_once,
     lift_to_cone,
     threshold,
     weight_from_lambda,
@@ -79,7 +71,6 @@ __all__ = [
     "EpsilonRangeError",
     "ExhaustiveOracle",
     "ExplicitList",
-    "GridApproximator",
     "GridCapError",
     "GridSpec",
     "InvalidInstanceError",
@@ -96,14 +87,10 @@ __all__ = [
     "VerificationReport",
     "approximate",
     "as_fraction",
-    "at_threshold",
     "augmented_evaluate",
-    "below_threshold",
     "brute_force_optimum",
-    "brute_force_optimum_weight",
     "check_lambda",
     "check_weight",
-    "compute_bounds",
     "compute_lambda_min",
     "default_oracle",
     "enumerate_solutions",
@@ -111,16 +98,13 @@ __all__ = [
     "explicit_instance",
     "grid_bounds",
     "grid_points",
-    "guarantee",
     "in_cone",
     "lambda_from_weight",
-    "lift_once",
     "lift_to_cone",
     "make_spec",
     "minimum_cover_size",
     "pareto_prune",
     "query",
-    "sample_parameters",
     "sample_parameters_labeled",
     "snap",
     "threshold",

@@ -5,7 +5,8 @@ Commands: ``approximate`` (run the grid algorithm and serialize the set),
 ``verify`` (check the set property on an instance, or run a named fixture's
 fact checks) and ``fixtures list``.
 
-Exit codes: 0 success, 2 schema error, 3 accuracy parameter out of range,
+Exit codes: 0 success, 2 schema or usage error (argparse exits 2 on a bad
+flag, such as ``--samples 0``), 3 accuracy parameter out of range,
 4 grid cap exceeded, 5 parameter vector below its domain, 6 verification
 failed (the report is still written), 7 instance too large for the exhaustive
 reference that ``verify`` enumerates.
@@ -46,6 +47,16 @@ def _parse_fraction_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
 
 
+def _positive_int_arg(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="paramgrid",
@@ -78,7 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--K", type=int, help="parameter count (fixture section3)")
     p_verify.add_argument("--z0", type=_parse_fraction_arg, help="scale parameter (appendix fixtures)")
     p_verify.add_argument("--L", type=int, help="chain length (fixture appendix-proof)")
-    p_verify.add_argument("--samples", type=int, default=1000, help="sample count (default 1000)")
+    p_verify.add_argument("--samples", type=_positive_int_arg, default=1000,
+                          help="sample count, at least 1 (default 1000)")
     p_verify.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
     p_verify.add_argument("--report", help="optional output path for the report")
 
@@ -103,8 +115,7 @@ def _cmd_approximate(args) -> int:
     aset = engine.approximate(instance, args.epsilon, grid_cap=args.grid_cap)
     elapsed_ms = int((time.monotonic() - started) * 1000)
     serialization.save_approximation_set(aset, args.out)
-    report = serialization.run_report(aset, elapsed_ms)
-    _emit(report.to_dict(), args.report)
+    _emit(serialization.run_report(aset, elapsed_ms), args.report)
     return EXIT_OK
 
 

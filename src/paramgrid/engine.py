@@ -9,10 +9,6 @@ times the solver's own guarantee.  ``query`` maps an arbitrary parameter
 vector to its responsible grid entry: convert to the weight
 (1, lambda - lambda_min), lift it into the irreducible cone, map back to a
 compact-box parameter vector and snap to its grid cell.
-
-``GridApproximator`` wraps the same machinery in a fit/query/predict
-estimator so runs can be configured, cloned and reused like any other
-estimator.
 """
 from __future__ import annotations
 
@@ -20,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import isqrt
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .errors import EpsilonRangeError, GridCapError, InvalidInstanceError, OracleError
 from .grid import DEFAULT_GRID_CAP, GridIndex, GridSpec, make_spec, snap
@@ -82,13 +78,17 @@ def default_oracle(instance: ProblemInstance) -> Oracle:
     raise InvalidInstanceError(f"no default oracle for {type(payload).__name__}")
 
 
-def rational_sqrt_down(x: RationalLike, precision: int = 10**12) -> Fraction:
+#: Denominator scale of ``rational_sqrt_down``: the root is floored to a multiple of 1/(q * M).
+SQRT_PRECISION = 10**12
+
+
+def rational_sqrt_down(x: RationalLike) -> Fraction:
     """Largest convenient rational r with r*r <= x; exact on rational squares."""
     v = as_fraction(x)
     if v < 0:
         raise InvalidInstanceError("square root of a negative rational")
-    scaled = isqrt(v.numerator * v.denominator * precision * precision)
-    return Fraction(scaled, v.denominator * precision)
+    scaled = isqrt(v.numerator * v.denominator * SQRT_PRECISION**2)
+    return Fraction(scaled, v.denominator * SQRT_PRECISION)
 
 
 @dataclass
@@ -113,20 +113,8 @@ class ApproximationSet:
 
     @property
     def guarantee(self) -> Fraction:
+        """Approximation factor certified for every admissible parameter vector."""
         return (1 + self.eps) * self.alpha
-
-    @property
-    def grid_size(self) -> int:
-        return self.spec.size
-
-    @property
-    def distinct_solution_count(self) -> int:
-        return len(self.solutions)
-
-
-def guarantee(aset: ApproximationSet) -> Fraction:
-    """Approximation factor certified for every admissible parameter vector."""
-    return aset.guarantee
 
 
 def approximate(
@@ -157,7 +145,7 @@ def approximate(
         oracle = default_oracle(instance)
     if isinstance(oracle, OracleFamily):
         # strictly positive for every requested eps > 0: the floored root of
-        # p/q > 1 at precision M exceeds 1 whenever p - q >= 1 > 2/M
+        # p/q > 1 at precision M = SQRT_PRECISION exceeds 1 whenever p - q >= 1 > 2/M
         delta = rational_sqrt_down(1 + requested) - 1
         oracle = oracle.make(delta)
         run_eps = delta
@@ -210,8 +198,7 @@ def approximate(
         stack.append((lo[:k] + (mid,) + lo[k + 1 :], hi))
 
     filled.update(solved)  # a solved point keeps the oracle's own answer
-    axis = range(spec.lb, spec.ub + 1)
-    entries = {idx: filled[idx] for idx in product(axis, repeat=instance.K)}
+    entries = {idx: filled[idx] for idx in spec.indices()}
     # distinct solutions in order of first appearance in lexicographic index order
     solutions = tuple({id(rec): rec for rec in entries.values()}.values())
 
@@ -245,56 +232,3 @@ def query(
     compact = lambda_from_weight(cert.final, instance.lambda_min)
     idx = snap(aset.spec, compact)
     return aset.entries[idx]
-
-
-class GridApproximator:
-    """Estimator-style front end: configure, ``fit`` an instance, query it.
-
-    Parameters are plain keyword settings in sklearn convention;
-    ``get_params``/``set_params`` make the object cloneable.  Fitted state
-    lives in trailing-underscore attributes.
-    """
-
-    def __init__(
-        self,
-        epsilon: RationalLike = Fraction(1, 2),
-        oracle: Oracle | OracleFamily | None = None,
-        grid_cap: int = DEFAULT_GRID_CAP,
-    ):
-        self.epsilon = epsilon
-        self.oracle = oracle
-        self.grid_cap = grid_cap
-
-    def get_params(self, deep: bool = True) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "oracle": self.oracle,
-            "grid_cap": self.grid_cap,
-        }
-
-    def set_params(self, **params) -> "GridApproximator":
-        for key, value in params.items():
-            if key not in self.get_params():
-                raise ValueError(f"unknown parameter {key!r}")
-            setattr(self, key, value)
-        return self
-
-    def fit(self, instance: ProblemInstance, y=None) -> "GridApproximator":
-        self.instance_ = instance
-        self.approximation_set_ = approximate(
-            instance, self.epsilon, self.oracle, grid_cap=self.grid_cap
-        )
-        self.guarantee_ = self.approximation_set_.guarantee
-        return self
-
-    def _require_fit(self):
-        if not hasattr(self, "approximation_set_"):
-            raise RuntimeError("this GridApproximator is not fitted; call fit first")
-
-    def query(self, lam: Sequence[RationalLike]) -> SolutionRecord:
-        self._require_fit()
-        return query(self.approximation_set_, self.instance_, lam)
-
-    def predict(self, lams: Iterable[Sequence[RationalLike]]) -> list[SolutionRecord]:
-        self._require_fit()
-        return [self.query(lam) for lam in lams]

@@ -100,6 +100,10 @@ class GridSpec:
         """Exact base^lb, ..., base^(ub+1), built on first use so set loads never pay for it."""
         return tuple(self.base**i for i in range(self.lb, self.ub + 2))
 
+    def indices(self) -> Iterator[GridIndex]:
+        """Every index vector of [lb, ub]^K in lexicographic order, the order set files store."""
+        return product(range(self.lb, self.ub + 1), repeat=self.K)
+
     def point(self, index: Sequence[int]) -> Lambda:
         """Parameter vector of a grid index vector."""
         idx = tuple(index)
@@ -139,7 +143,7 @@ def grid_points(spec: GridSpec, cap: int = DEFAULT_GRID_CAP) -> Iterator[tuple[G
     """Stream (index, parameter vector) pairs in lexicographic index order."""
     if spec.size > cap:
         raise GridCapError(spec.size, cap)
-    for idx in product(range(spec.lb, spec.ub + 1), repeat=spec.K):
+    for idx in spec.indices():
         yield idx, spec.point(idx)
 
 

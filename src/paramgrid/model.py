@@ -269,19 +269,6 @@ def _explicit_bounds(payload: ExplicitList) -> tuple[Fraction, Fraction]:
     return min(nonzero), max(nonzero)
 
 
-def compute_bounds(instance: ProblemInstance) -> tuple[Fraction, Fraction]:
-    """Recompute (LB, UB) from the payload; factories store the same values."""
-    return payload_bounds(instance.payload, instance.lambda_min)
-
-
-def payload_bounds(payload: object, lambda_min: Lambda) -> tuple[Fraction, Fraction]:
-    if isinstance(payload, ExplicitList):
-        return _explicit_bounds(payload)
-    if isinstance(payload, CostRows):
-        return _structured_bounds(payload, lambda_min)
-    raise InvalidInstanceError(f"unsupported payload type {type(payload).__name__}")
-
-
 def explicit_instance(
     records: Iterable[SolutionRecord],
     *,

@@ -167,14 +167,6 @@ def brute_force_optimum(
     return _ScanState(enumerate_solutions(instance), instance.sense).best(weight)
 
 
-def brute_force_optimum_weight(
-    instance: ProblemInstance, w: Sequence[RationalLike]
-) -> tuple[SolutionRecord, Fraction]:
-    """Exact optimizer of the weighted component sum over an enumerable instance."""
-    weight = _checked_weight(instance, w)
-    return _ScanState(enumerate_solutions(instance), instance.sense).best(weight)
-
-
 def _fraction_in(rng: random.Random, lo: Fraction, hi: Fraction, denominator: int = 4096) -> Fraction:
     t = Fraction(rng.randrange(denominator + 1), denominator)
     return lo + (hi - lo) * t
@@ -247,12 +239,6 @@ def sample_parameters_labeled(
 
 def _flog(x: Fraction) -> float:
     return math.log(x.numerator) - math.log(x.denominator)
-
-
-def sample_parameters(
-    instance: ProblemInstance, spec: GridSpec, n: int, seed: int = 0
-) -> list[Lambda]:
-    return [lam for _, lam in sample_parameters_labeled(instance, spec, n, seed)]
 
 
 @dataclass

@@ -7,9 +7,7 @@ lossless and byte-stable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Any
 
 from .engine import ApproximationSet
@@ -183,7 +181,6 @@ def solution_from_json(doc: dict) -> SolutionRecord:
 def approximation_set_to_dict(aset: ApproximationSet) -> dict:
     index = {rec.encoding: i for i, rec in enumerate(aset.solutions)}
     spec = aset.spec
-    grid = product(range(spec.lb, spec.ub + 1), repeat=spec.K)
     return {
         "format": "paramgrid-approximation-set",
         "version": 2,
@@ -196,7 +193,7 @@ def approximation_set_to_dict(aset: ApproximationSet) -> dict:
         "lambda_min": [frac_str(v) for v in spec.lambda_min],
         "oracle": aset.oracle_name,
         "solutions": [solution_to_json(rec) for rec in aset.solutions],
-        "cells": [index[aset.entries[idx].encoding] for idx in grid],
+        "cells": [index[aset.entries[idx].encoding] for idx in spec.indices()],
     }
 
 
@@ -237,7 +234,9 @@ def approximation_set_from_dict(doc: dict) -> ApproximationSet:
             raise InvalidInstanceError(
                 f"a cell refers to {ref!r}, not one of the {len(solutions)} solutions"
             )
-    grid = product(range(spec.lb, spec.ub + 1), repeat=K)
+    oracle_name = doc.get("oracle", "")
+    if not isinstance(oracle_name, str):
+        raise InvalidInstanceError(f"oracle must be a string, got {oracle_name!r}")
     return ApproximationSet(
         requested_eps=parse_frac(_require(doc, "requested_epsilon")),
         eps=eps,
@@ -245,16 +244,17 @@ def approximation_set_from_dict(doc: dict) -> ApproximationSet:
         c=c,
         spec=spec,
         sense=Sense.parse(_require(doc, "sense")),
-        entries=dict(zip(grid, map(solutions.__getitem__, cells))),
+        entries=dict(zip(spec.indices(), map(solutions.__getitem__, cells))),
         solutions=solutions,
-        oracle_name=doc.get("oracle", ""),
+        oracle_name=oracle_name,
     )
 
 
 def save_approximation_set(aset: ApproximationSet, path: str):
+    # no indent: the C encoder runs, and the cells list stays one line
+    text = json.dumps(approximation_set_to_dict(aset), separators=(",", ":"), sort_keys=True)
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(approximation_set_to_dict(aset), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write(text + "\n")
 
 
 def load_approximation_set(path: str) -> ApproximationSet:
@@ -266,49 +266,20 @@ def load_approximation_set(path: str) -> ApproximationSet:
     return approximation_set_from_dict(doc)
 
 
-@dataclass
-class RunReport:
-    """Summary of one grid run, serialized alongside the set."""
-
-    epsilon: Fraction
-    alpha: Fraction
-    guarantee: Fraction
-    c: Fraction
-    lb: int
-    ub: int
-    grid_size: int
-    oracle_calls: int
-    distinct_solution_count: int
-    wall_time_ms: int
-
-    def to_dict(self) -> dict:
-        return {
-            "epsilon": frac_str(self.epsilon),
-            "alpha": frac_str(self.alpha),
-            "guarantee": frac_str(self.guarantee),
-            "c": frac_str(self.c),
-            "lb": self.lb,
-            "ub": self.ub,
-            "grid_size": self.grid_size,
-            "oracle_calls": self.oracle_calls,
-            "distinct_solution_count": self.distinct_solution_count,
-            "wall_time_ms": self.wall_time_ms,
-        }
-
-
-def run_report(aset: ApproximationSet, wall_time_ms: int) -> RunReport:
-    return RunReport(
-        epsilon=aset.requested_eps,
-        alpha=aset.alpha,
-        guarantee=aset.guarantee,
-        c=aset.c,
-        lb=aset.spec.lb,
-        ub=aset.spec.ub,
-        grid_size=aset.grid_size,
-        oracle_calls=aset.oracle_calls,
-        distinct_solution_count=aset.distinct_solution_count,
-        wall_time_ms=wall_time_ms,
-    )
+def run_report(aset: ApproximationSet, wall_time_ms: int) -> dict:
+    """Summary of one grid run, written next to the set by ``paramgrid approximate``."""
+    return {
+        "epsilon": frac_str(aset.requested_eps),
+        "alpha": frac_str(aset.alpha),
+        "guarantee": frac_str(aset.guarantee),
+        "c": frac_str(aset.c),
+        "lb": aset.spec.lb,
+        "ub": aset.spec.ub,
+        "grid_size": aset.spec.size,
+        "oracle_calls": aset.oracle_calls,
+        "distinct_solution_count": len(aset.solutions),
+        "wall_time_ms": wall_time_ms,
+    }
 
 
 def verification_report_to_dict(report) -> dict:

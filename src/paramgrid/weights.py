@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import DomainError
 from .model import ONE, Lambda, RationalLike, Weight, ZERO, as_fraction, check_weight
@@ -40,33 +40,6 @@ def threshold(
     return e * lb / (b * ub)
 
 
-def _group_share(
-    w: Sequence[RationalLike], indices: Iterable[int], c: RationalLike
-) -> tuple[Weight, tuple[int, ...], Fraction, Fraction]:
-    """Checked weight, its index group, the group's sum and c times the smallest outside component."""
-    vec = check_weight(w)
-    group = tuple(sorted(set(indices)))
-    if not group or len(group) >= len(vec):
-        raise DomainError("index group must be a nonempty proper subset")
-    if group[0] < 0 or group[-1] >= len(vec):
-        raise DomainError(f"index group {group} out of range for {len(vec)} components")
-    inside = sum((vec[i] for i in group), ZERO)
-    target = as_fraction(c) * min(vec[j] for j in range(len(vec)) if j not in group)
-    return vec, group, inside, target
-
-
-def below_threshold(w: Sequence[RationalLike], indices: Iterable[int], c: RationalLike) -> bool:
-    """True iff the group's component sum is strictly below c times every outside component."""
-    _, _, inside, target = _group_share(w, indices, c)
-    return inside < target
-
-
-def at_threshold(w: Sequence[RationalLike], indices: Iterable[int], c: RationalLike) -> bool:
-    """True iff the group's component sum equals c times the smallest outside component."""
-    _, _, inside, target = _group_share(w, indices, c)
-    return inside == target
-
-
 def _first_below(values: Sequence[Fraction], c: Fraction) -> tuple[int, Fraction] | None:
     """(Last position, sum) of the first prefix below c times the next value, or None."""
     prefix = ZERO
@@ -87,28 +60,6 @@ def in_cone(w: Sequence[RationalLike], c: RationalLike) -> bool:
     return _first_below(sorted(check_weight(w)), as_fraction(c)) is None
 
 
-def lift_once(w: Sequence[RationalLike], indices: Iterable[int], c: RationalLike) -> Weight:
-    """Scale the group up onto the threshold boundary.
-
-    Requires the group to be at or below threshold; a boundary weight is its
-    own lift.  Group components are scaled proportionally (or split uniformly
-    if they are all zero); outside components are untouched.  The input is an
-    exact convex combination of the result and its group projection.
-    """
-    vec, group, inside, target = _group_share(w, indices, c)
-    if inside > target:
-        raise DomainError(f"group {group} is above the threshold share for c={c}")
-    out = list(vec)
-    if inside > 0:
-        for i in group:
-            out[i] = vec[i] / inside * target
-    elif target > 0:
-        share = target / len(group)
-        for i in group:
-            out[i] = share
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class LiftStep:
     """One lifting step: the prefix position, the touched original indices,
@@ -125,10 +76,9 @@ class LiftStep:
 class LiftCertificate:
     """Proof object for a cone lift.
 
-    ``hull_coefficients`` pairs with ``hull_vectors()``: the projections of
-    the final weight onto each step's zeroed group, followed by the final
-    weight itself.  The coefficients are in [0,1], sum to 1, and reproduce
-    the start weight exactly.
+    The start weight is an exact convex combination of the final weight and
+    its projections onto each step's zeroed group, with coefficients built
+    from the steps' ``mu`` alone; ``tests/conftest.py`` reconstructs it.
     """
 
     start: Weight
@@ -139,34 +89,6 @@ class LiftCertificate:
     @property
     def depth(self) -> int:
         return len(self.steps)
-
-    @property
-    def hull_coefficients(self) -> tuple[Fraction, ...]:
-        """Step l gets (1 - mu_l) times the later mus' product; the final weight all mus'."""
-        coeffs = []
-        tail = Fraction(1)
-        for step in reversed(self.steps):
-            coeffs.append((1 - step.mu) * tail)
-            tail *= step.mu
-        return (*reversed(coeffs), tail)
-
-    def hull_vectors(self) -> list[Weight]:
-        vecs = []
-        for step in self.steps:
-            vecs.append(
-                tuple(
-                    ZERO if i in step.indices else v for i, v in enumerate(self.final)
-                )
-            )
-        vecs.append(self.final)
-        return vecs
-
-    def reconstruct(self) -> Weight:
-        total = [ZERO] * len(self.final)
-        for coeff, vec in zip(self.hull_coefficients, self.hull_vectors()):
-            for i, v in enumerate(vec):
-                total[i] += coeff * v
-        return tuple(total)
 
 
 def lift_to_cone(w: Sequence[RationalLike], c: RationalLike) -> LiftCertificate:

@@ -3,18 +3,23 @@
 The reference helpers here deliberately avoid the library's optimized code
 paths: cone membership enumerates every index subset, optima come from full
 enumeration with Fraction arithmetic, and expected values in tests are frozen
-from these oracles, not from the code under test.
+from these oracles, not from the code under test.  The paper's cone-boundary
+tests, its single lifting step and the convex-combination reconstruction of a
+lift certificate live here too: the library's lift never calls them, and the
+tests check it against them.
 """
 from __future__ import annotations
 
 import random
 from fractions import Fraction
 from itertools import combinations
+from typing import Iterable, Sequence
 
 import pytest
 
-from paramgrid import Sense, augmented_evaluate, evaluate, grid_points
-from paramgrid.model import ProblemInstance, SolutionRecord, ZERO
+from paramgrid import DomainError, Sense, augmented_evaluate, evaluate, grid_points
+from paramgrid.model import ProblemInstance, SolutionRecord, ZERO, as_fraction, check_weight
+from paramgrid.weights import LiftCertificate
 from paramgrid.oracle import enumerate_solutions
 from paramgrid.solvers import (
     cut_graph,
@@ -47,6 +52,85 @@ def cone_member_exhaustive(w, c) -> bool:
             if inside < c * outside:
                 return False
     return True
+
+
+def _group_share(w: Sequence, indices: Iterable[int], c):
+    """Checked weight, its index group, the group's sum and c times the smallest outside component."""
+    vec = check_weight(w)
+    group = tuple(sorted(set(indices)))
+    if not group or len(group) >= len(vec):
+        raise DomainError("index group must be a nonempty proper subset")
+    if group[0] < 0 or group[-1] >= len(vec):
+        raise DomainError(f"index group {group} out of range for {len(vec)} components")
+    inside = sum((vec[i] for i in group), ZERO)
+    target = as_fraction(c) * min(vec[j] for j in range(len(vec)) if j not in group)
+    return vec, group, inside, target
+
+
+def below_threshold(w, indices, c) -> bool:
+    """True iff the group's component sum is strictly below c times every outside component."""
+    _, _, inside, target = _group_share(w, indices, c)
+    return inside < target
+
+
+def at_threshold(w, indices, c) -> bool:
+    """True iff the group's component sum equals c times the smallest outside component."""
+    _, _, inside, target = _group_share(w, indices, c)
+    return inside == target
+
+
+def lift_once(w, indices, c):
+    """Scale the group up onto the threshold boundary.
+
+    Requires the group to be at or below threshold; a boundary weight is its
+    own lift.  Group components are scaled proportionally (or split uniformly
+    if they are all zero); outside components are untouched.  The input is an
+    exact convex combination of the result and its group projection.
+    """
+    vec, group, inside, target = _group_share(w, indices, c)
+    if inside > target:
+        raise DomainError(f"group {group} is above the threshold share for c={c}")
+    out = list(vec)
+    if inside > 0:
+        for i in group:
+            out[i] = vec[i] / inside * target
+    elif target > 0:
+        share = target / len(group)
+        for i in group:
+            out[i] = share
+    return tuple(out)
+
+
+def hull_coefficients(cert: LiftCertificate) -> tuple:
+    """Step l gets (1 - mu_l) times the later mus' product; the final weight all mus'."""
+    coeffs = []
+    tail = Fraction(1)
+    for step in reversed(cert.steps):
+        coeffs.append((1 - step.mu) * tail)
+        tail *= step.mu
+    return (*reversed(coeffs), tail)
+
+
+def hull_vectors(cert: LiftCertificate) -> list:
+    """The final weight's projections onto each step's zeroed group, then the final weight."""
+    vecs = []
+    for step in cert.steps:
+        vecs.append(
+            tuple(
+                ZERO if i in step.indices else v for i, v in enumerate(cert.final)
+            )
+        )
+    vecs.append(cert.final)
+    return vecs
+
+
+def reconstruct(cert: LiftCertificate):
+    """The convex combination of ``hull_vectors`` by ``hull_coefficients``: the start weight."""
+    total = [ZERO] * len(cert.final)
+    for coeff, vec in zip(hull_coefficients(cert), hull_vectors(cert)):
+        for i, v in enumerate(vec):
+            total[i] += coeff * v
+    return tuple(total)
 
 
 def optimum_by_enumeration(instance: ProblemInstance, lam):

@@ -47,6 +47,7 @@ from conftest import (
     random_independence,
     random_knapsack,
     ratio_ok,
+    reconstruct,
 )
 
 
@@ -192,7 +193,7 @@ def test_criterion_2_grid_cardinality():
         spans = {}
         for eps in (F(1, 2), F(1, 4), F(1, 8)):
             aset = approximate(inst, eps)
-            size = aset.grid_size
+            size = aset.spec.size
             span = aset.spec.span
             ok &= size == span**K and len(aset.entries) == size
             spans[eps] = span
@@ -236,7 +237,7 @@ def test_criterion_3_lifting_certificate():
         good &= in_cone(cert.final, c)
         if K <= 4:
             good &= cone_member_exhaustive(cert.final, c)
-        good &= cert.reconstruct() == w
+        good &= reconstruct(cert) == w
         floor = c**K / factorial(K + 1)
         total = sum(cert.final)
         good &= all(v / total >= floor for v in cert.final)

@@ -7,7 +7,6 @@ from paramgrid import (
     DomainError,
     EpsilonRangeError,
     GridCapError,
-    GridApproximator,
     Oracle,
     OracleFamily,
     Sense,
@@ -16,7 +15,6 @@ from paramgrid import (
     default_oracle,
     evaluate,
     explicit_instance,
-    guarantee,
     query,
 )
 from paramgrid.engine import rational_sqrt_down
@@ -58,9 +56,9 @@ class TestApproximate:
     def test_single_solution_everywhere(self):
         inst = single_solution_instance()
         aset = approximate(inst, F(1, 2))
-        assert aset.distinct_solution_count == 1
+        assert len(aset.solutions) == 1
         assert all(rec.encoding == ("explicit", "only") for rec in aset.entries.values())
-        assert len(aset.entries) == aset.grid_size == aset.spec.span
+        assert len(aset.entries) == aset.spec.size == aset.spec.span
 
     def test_toy_knapsack_sweep(self, rng):
         inst = toy_knapsack()
@@ -111,7 +109,7 @@ class TestApproximate:
 
         aset = approximate(inst, F(1, 2), Oracle(fn=counting, alpha=F(1)))
         assert calls == aset.oracle_calls
-        assert calls < aset.grid_size  # 7 of 37 points: boxes with agreeing corners are filled
+        assert calls < aset.spec.size  # 7 of 37 points: boxes with agreeing corners are filled
 
     def test_determinism(self):
         inst = toy_knapsack()
@@ -124,7 +122,7 @@ class TestApproximate:
     def test_output_size_bound(self):
         inst = toy_knapsack()
         aset = approximate(inst, F(1, 2))
-        assert aset.distinct_solution_count <= aset.grid_size
+        assert len(aset.solutions) <= aset.spec.size
 
 
 class TestBoxFilling:
@@ -162,7 +160,7 @@ class TestBoxFilling:
                     assert rec.encoding == reference[idx].encoding
             senses.add(inst.sense)
             calls += aset.oracle_calls
-            points += aset.grid_size
+            points += aset.spec.size
         assert senses == {Sense.MIN, Sense.MAX}
         assert calls < points
 
@@ -177,8 +175,8 @@ class TestBoxFilling:
             return SolutionRecord(encoding=("explicit", str(lam)), F=(F(1),) * 3)
 
         aset = approximate(inst, F(1, 2), Oracle(fn=distinct, alpha=F(1)))
-        assert len(seen) == len(set(seen)) == aset.grid_size == aset.oracle_calls
-        assert aset.distinct_solution_count == aset.grid_size
+        assert len(seen) == len(set(seen)) == aset.spec.size == aset.oracle_calls
+        assert len(aset.solutions) == aset.spec.size
         for idx, rec in aset.entries.items():
             assert rec.encoding == ("explicit", str(aset.spec.point(idx)))
 
@@ -233,7 +231,7 @@ class TestGuarantee:
         inst = single_solution_instance()
         assert approximate(inst, F(1, 2)).guarantee == F(3, 2)
         two = approximate(inst, F(1, 2), Oracle(fn=ExhaustiveOracle(inst), alpha=F(2)))
-        assert guarantee(two) == F(3)
+        assert two.guarantee == F(3)
 
     def test_family_split(self):
         # eps = 21/100 has the exact square root 11/10, so delta = 1/10.
@@ -261,26 +259,3 @@ class TestGuarantee:
             assert r * r <= x
             assert (r + F(1, 10**6)) ** 2 > x
 
-
-class TestEstimator:
-    def test_fit_query_predict(self):
-        inst = toy_knapsack()
-        est = GridApproximator(epsilon=F(1, 2)).fit(inst)
-        assert est.guarantee_ == F(3, 2)
-        rec = est.query((F(1),))
-        assert evaluate(inst, rec, (F(1),)) * est.guarantee_ >= 6
-        assert est.predict([(F(0),), (F(1),)]) == [est.query((F(0),)), est.query((F(1),))]
-
-    def test_params_round_trip(self):
-        est = GridApproximator(epsilon=F(1, 4), grid_cap=1000)
-        params = est.get_params()
-        clone = GridApproximator(**params)
-        assert clone.get_params() == params
-        clone.set_params(epsilon=F(1, 8))
-        assert clone.epsilon == F(1, 8)
-        with pytest.raises(ValueError):
-            clone.set_params(nonsense=1)
-
-    def test_unfitted_query_raises(self):
-        with pytest.raises(RuntimeError):
-            GridApproximator().query((F(0),))

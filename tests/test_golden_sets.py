@@ -102,19 +102,19 @@ def explicit_k2():
 
 GOLDEN = {
     "mincut-k2": (mincut_k2,
-        "3c9ed624f1efa8e25c71d361aceeb3ef34409a443a93a9db0a8483fd9de024d3",
+        "4f8fd257f089175fbf7c27997d6bc31814f580572a30cdcf9bdccef43419efe2",
     ),
     "knapsack-dp-eps-1/8": (knapsack_fine,
-        "6d297ee6b8f74037c96574abb6e2a1186cfc029f2abcc007bf019c1c828fce97",
+        "22f33c3c644843a8fc3109c035986a8fea8834f0c66ba241b3fd9e59e781c9a6",
     ),
     "knapsack-scaling": (knapsack_scheme,
-        "0805688857280c252665910df3f681361023b0101dde6da6c84833d23f2aaba2",
+        "5b3b4bfd963ec6f95c89d7c881097e6123c7d2ff3ccbdf357604c68f18509eeb",
     ),
     "greedy": (greedy,
-        "68a3094f0365424b0f6895c27ae255046b062ead1728bf24839d3d26d3a4e019",
+        "49fba175c488d26e3f7fc8d371d9fd4ea3100e7a95162d038c5f7d04909864a4",
     ),
     "explicit-k2": (explicit_k2,
-        "5fbda2d0b9e45bbc65837fa9a9f08c4245ff032c872708acd49075b9d2d7cc70",
+        "50fa66cb281b7911f37b6f41d0285356652456571a18fbaf7ffc8204b40d51ba",
     ),
 }
 

@@ -9,7 +9,6 @@ from paramgrid import (
     Sense,
     SolutionRecord,
     augmented_evaluate,
-    compute_bounds,
     compute_lambda_min,
     evaluate,
     explicit_instance,
@@ -69,7 +68,6 @@ class TestBounds:
         data = knapsack_data([(3, (1,), 1), (2, (4,), 1)], budget=2, K=1)
         inst = knapsack_instance(data)
         assert (inst.LB, inst.UB) == (1, 5)
-        assert compute_bounds(inst) == (1, 5)
 
     def test_explicit_min_nonzero_max(self):
         inst = explicit_instance([rec(3, 1, 2), rec(4, 4, 4)], K=2)

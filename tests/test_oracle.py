@@ -7,20 +7,18 @@ from paramgrid import (
     Sense,
     augmented_evaluate,
     brute_force_optimum,
-    brute_force_optimum_weight,
     enumerate_solutions,
     evaluate,
     explicit_instance,
     make_spec,
     minimum_cover_size,
     pareto_prune,
-    sample_parameters,
     sample_parameters_labeled,
     verify_approximation_set,
     verify_on_weights,
 )
 from paramgrid.errors import TooLargeError
-from paramgrid.oracle import ExhaustiveOracle
+from paramgrid.oracle import ExhaustiveOracle, _ScanState
 from paramgrid.solvers import knapsack_data, knapsack_instance, min_cut_solve, knapsack_solve
 
 from conftest import (
@@ -102,7 +100,7 @@ class TestOneScan:
                 if rng.random() < 0.5:
                     w = (F(0), *w[1:])
                 wopt = optimum_by_enumeration_weight(inst, w)
-                xw, wval = brute_force_optimum_weight(inst, w)
+                xw, wval = _ScanState(records, inst.sense).best(w)
                 assert wval == wopt
                 assert xw == next(r for r in records if augmented_evaluate(r, w) == wopt)
 
@@ -122,8 +120,9 @@ class TestOneScan:
         for sense in (Sense.MIN, Sense.MAX):
             inst = explicit_instance(records, K=1, sense=sense)
             assert brute_force_optimum(inst, [F(1)]) == (records[0], F(4))
-            assert brute_force_optimum_weight(inst, [F(1), F(1)]) == (records[0], F(4))
-            assert brute_force_optimum_weight(inst, [F(0), F(0)]) == (records[0], F(0))
+            scan = _ScanState(enumerate_solutions(inst), sense)
+            assert scan.best([F(1), F(1)]) == (records[0], F(4))
+            assert scan.best([F(0), F(0)]) == (records[0], F(0))
 
 
 class TestParetoPrune:
@@ -148,7 +147,7 @@ class TestSampling:
     def test_first_sample_is_anchor(self):
         inst = toy_knapsack()
         spec = make_spec(F(1, 10), 1, F(1, 2), inst.lambda_min)
-        assert sample_parameters(inst, spec, 1, seed=3) == [inst.lambda_min]
+        assert sample_parameters_labeled(inst, spec, 1, seed=3) == [("lambda-min", inst.lambda_min)]
 
     def test_single_grid_point_included(self):
         inst = toy_knapsack()
@@ -156,7 +155,7 @@ class TestSampling:
 
         spec = GridSpec(eps=F(1, 2), base=F(5, 4), lb=0, ub=0,
                         lambda_min=inst.lambda_min, K=1, c=F(1, 10))
-        samples = sample_parameters(inst, spec, 12, seed=0)
+        samples = [lam for _, lam in sample_parameters_labeled(inst, spec, 12, seed=0)]
         assert (inst.lambda_min[0] + 1,) in samples
 
     def test_deterministic_under_seed(self):
@@ -177,7 +176,7 @@ class TestSampling:
     def test_samples_stay_in_domain(self, rng):
         inst = random_knapsack(rng, n=5, K=2, cmax=9)
         spec = make_spec(F(1, 20), 2, F(1, 2), inst.lambda_min)
-        for lam in sample_parameters(inst, spec, 200, seed=1):
+        for _, lam in sample_parameters_labeled(inst, spec, 200, seed=1):
             assert all(v >= lo for v, lo in zip(lam, inst.lambda_min))
 
 

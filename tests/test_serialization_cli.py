@@ -220,6 +220,17 @@ class TestCli:
         capsys.readouterr()
         assert main(["query", set_path, inst_path, "--lam", "-1"]) == 5
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_sample_count_below_one_is_a_usage_error(self, tmp_path, capsys, count):
+        inst_path = write(tmp_path, "inst.json", TOY_KNAPSACK)
+        set_path = str(tmp_path / "set.json")
+        main(["approximate", inst_path, "--epsilon", "1/2", "--out", set_path])
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", inst_path, "--set", set_path, "--beta", "3/2", "--samples", count])
+        assert exc.value.code == 2
+        assert "--samples" in capsys.readouterr().err
+
     def test_exit_code_verification_failure(self, tmp_path, capsys):
         # Truncate the set to one solution that cannot cover the far field.
         inst_path = write(tmp_path, "inst.json", TOY_KNAPSACK)
@@ -351,6 +362,7 @@ class TestSetFileChecks:
             _put("cells", {}),
             _refer(lambda doc: True),
             lambda doc: doc["cells"].append(0),
+            _put("oracle", [1, 2]),
         ],
         ids=[
             "missing-entry",
@@ -375,6 +387,7 @@ class TestSetFileChecks:
             "cells-not-list",
             "cell-is-bool",
             "cells-one-too-many",
+            "oracle-not-string",
         ],
     )
     def test_corrupt_set_refused(self, tmp_path, capsys, corrupt):

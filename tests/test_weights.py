@@ -7,19 +7,25 @@ from hypothesis import given, settings, strategies as st
 
 from paramgrid import (
     DomainError,
-    at_threshold,
     augmented_evaluate,
-    below_threshold,
     in_cone,
     lambda_from_weight,
-    lift_once,
     lift_to_cone,
     threshold,
     weight_from_lambda,
 )
 from paramgrid.model import ZERO
 
-from conftest import cone_member_exhaustive, optimum_by_enumeration_weight, random_explicit
+from conftest import (
+    at_threshold,
+    below_threshold,
+    cone_member_exhaustive,
+    hull_coefficients,
+    lift_once,
+    optimum_by_enumeration_weight,
+    random_explicit,
+    reconstruct,
+)
 
 small_fracs = st.fractions(min_value=0, max_value=4, max_denominator=16)
 pos_fracs = st.fractions(min_value=F(1, 16), max_value=4, max_denominator=16)
@@ -114,7 +120,7 @@ class TestLiftToCone:
         cert = lift_to_cone(w, F(1, 2))
         assert cert.depth == 0
         assert cert.final == w
-        assert cert.reconstruct() == w
+        assert reconstruct(cert) == w
 
     def test_two_step_example(self):
         w = (F(1, 100), F(1, 25), F(1))
@@ -123,7 +129,7 @@ class TestLiftToCone:
         assert cert.steps[0].weight == (F(1, 50), F(1, 25), F(1))
         assert cert.final == (F(1, 6), F(1, 3), F(1))
         assert [s.mu for s in cert.steps] == [F(1, 2), F(3, 25)]
-        assert cert.reconstruct() == w
+        assert reconstruct(cert) == w
 
     def test_single_uniform_lift(self):
         cert = lift_to_cone((ZERO, ZERO, F(1)), F(1, 4))
@@ -161,9 +167,9 @@ class TestLiftToCone:
             assert cert.depth <= K
             assert in_cone(cert.final, c)
             assert cone_member_exhaustive(cert.final, c) if K <= 4 else True
-            assert cert.reconstruct() == w
-            assert sum(cert.hull_coefficients) == 1
-            assert all(0 <= t <= 1 for t in cert.hull_coefficients)
+            assert reconstruct(cert) == w
+            assert sum(hull_coefficients(cert)) == 1
+            assert all(0 <= t <= 1 for t in hull_coefficients(cert))
             prev = w
             for step in cert.steps:
                 cur = step.weight
