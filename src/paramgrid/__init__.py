@@ -45,7 +45,6 @@ from .model import (
 from .oracle import (
     ExhaustiveOracle,
     VerificationReport,
-    brute_force_optimum,
     enumerate_solutions,
     minimum_cover_size,
     pareto_prune,
@@ -88,7 +87,6 @@ __all__ = [
     "approximate",
     "as_fraction",
     "augmented_evaluate",
-    "brute_force_optimum",
     "check_lambda",
     "check_weight",
     "compute_lambda_min",

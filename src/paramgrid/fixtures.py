@@ -18,7 +18,7 @@ deterministic weights from a seeded generator.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -57,13 +57,10 @@ class FixtureReport:
 
 @dataclass(frozen=True)
 class GadgetInstance:
-    """An explicit fixture instance plus the facts claimed about it."""
+    """An explicit fixture instance and its named witness weights."""
 
-    label: str
-    parameters: dict
     instance: ProblemInstance
-    claimed_facts: tuple[str, ...]
-    witnesses: dict[str, tuple[Weight, ...]] = field(default_factory=dict)
+    witnesses: dict[str, tuple[Weight, ...]]
 
     def record(self, name: str) -> SolutionRecord:
         for rec in self.instance.payload.records:
@@ -115,10 +112,7 @@ def forced_cover_gadget(beta, K: int) -> GadgetInstance:
 
     witnesses = _spike_witnesses(b, K, spikes)
     return GadgetInstance(
-        label="section3",
-        parameters={"beta": b, "K": K},
         instance=instance,
-        claimed_facts=("never-optimal", "singleton-cover", "forced-k-plus-1"),
         witnesses={"spike": witnesses, "unit": tuple(_unit_weights(K))},
     )
 
@@ -202,7 +196,7 @@ def check_section3(beta, K: int, samples: int = 10_000, seed: int = 0) -> Fixtur
 
 
 # ---------------------------------------------------------------------------
-# appendix-example: smaller-cover counterexample pair
+# appendix-example: seven-solution smaller-cover counterexample
 # ---------------------------------------------------------------------------
 
 
@@ -230,8 +224,8 @@ def _example_witnesses(b: Fraction) -> tuple[Weight, Weight, Weight]:
     )
 
 
-def small_cover_pair(beta, z0) -> tuple[GadgetInstance, GadgetInstance]:
-    """The published counterexample pair: base instance and its extension."""
+def small_cover_gadget(beta, z0) -> GadgetInstance:
+    """The published seven-solution counterexample: x, its tail and their near-duplicates."""
     b = as_fraction(beta)
     z = as_fraction(z0)
     if b <= 1:
@@ -241,33 +235,20 @@ def small_cover_pair(beta, z0) -> tuple[GadgetInstance, GadgetInstance]:
             f"z0 must be at least beta^2/(beta-1) + 1 = {b ** 2 / (b - 1) + 1}"
         )
     x, tail, xb = _example_values(b, z)
-    witnesses = _example_witnesses(b)
-    params = {"beta": b, "z0": z}
-    a1 = GadgetInstance(
-        label="appendix-example",
-        parameters=params,
-        instance=explicit_instance([x, *tail], sense=Sense.MIN, K=2),
-        claimed_facts=("x-dominates-tail", "pairwise-separation"),
-        witnesses={"pairwise": witnesses},
-    )
-    a2 = GadgetInstance(
-        label="appendix-example",
-        parameters=params,
+    return GadgetInstance(
         instance=explicit_instance([x, *tail, *xb], sense=Sense.MIN, K=2),
-        claimed_facts=("regional-domination", "three-solution-cover", "leave-one-out-fails"),
-        witnesses={"pairwise": witnesses},
+        witnesses={"pairwise": _example_witnesses(b)},
     )
-    return a1, a2
 
 
 def check_appendix_example(beta, z0, samples: int = 10_000, seed: int = 0) -> FixtureReport:
     b = as_fraction(beta)
     z = as_fraction(z0)
-    a1, a2 = small_cover_pair(b, z)
-    x = a2.record("x")
-    tail = [a2.record(f"x{i}") for i in (1, 2, 3)]
-    xb = [a2.record(f"xb{i}") for i in (1, 2, 3)]
-    witnesses = a1.witnesses["pairwise"]
+    gadget = small_cover_gadget(b, z)
+    x = gadget.record("x")
+    tail = [gadget.record(f"x{i}") for i in (1, 2, 3)]
+    xb = [gadget.record(f"xb{i}") for i in (1, 2, 3)]
+    witnesses = gadget.witnesses["pairwise"]
     rng = random.Random(seed)
 
     facts: list[FactCheck] = []
@@ -312,7 +293,7 @@ def check_appendix_example(beta, z0, samples: int = 10_000, seed: int = 0) -> Fi
     )
 
     cover_report = verify_on_weights(
-        a2.instance, [x, xb[0], xb[2]], b, _simplex_weights(rng, 3, samples)
+        gadget.instance, [x, xb[0], xb[2]], b, _simplex_weights(rng, 3, samples)
     )
     facts.append(
         FactCheck(
@@ -369,10 +350,7 @@ def separation_chain(beta, z0, L: int) -> GadgetInstance:
         (ZERO, m ** (L - el), m ** (el - 1)) for el in range(1, L + 1)
     )
     return GadgetInstance(
-        label="appendix-proof",
-        parameters={"beta": b, "z0": z, "L": L},
         instance=explicit_instance([star, *chain, *near], sense=Sense.MIN, K=2),
-        claimed_facts=("star-dominates", "chain-separation"),
         witnesses={"chain": witnesses},
     )
 

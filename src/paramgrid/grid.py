@@ -26,12 +26,16 @@ TIE_TOLERANCE = 1e-9
 DEFAULT_GRID_CAP = 10**8
 
 
-def _float_log(value: Fraction, base: Fraction) -> float:
+def _float_log(value: Fraction) -> float:
     # Big rationals can overflow float conversion; log numerator and
     # denominator separately instead.
-    num = math.log(value.numerator) - math.log(value.denominator)
-    den = math.log(base.numerator) - math.log(base.denominator)
-    return num / den
+    return math.log(value.numerator) - math.log(value.denominator)
+
+
+def compact_box(c: Fraction, K: int) -> tuple[Fraction, Fraction]:
+    """Per-coordinate bounds c^K/(K+1)! and (K+1)!/c^K of the compact parameter box."""
+    small = c**K / math.factorial(K + 1)
+    return small, 1 / small
 
 
 def grid_bounds(c: RationalLike, K: int, eps: RationalLike) -> tuple[int, int]:
@@ -49,14 +53,15 @@ def grid_bounds(c: RationalLike, K: int, eps: RationalLike) -> tuple[int, int]:
     if not (0 < ee < 1):
         raise DomainError(f"eps must lie in (0,1), got {ee}")
     base = 1 + ee / 2
-    small = cc**K / math.factorial(K + 1)
+    small, big = compact_box(cc, K)
+    log_base = _float_log(base)
 
-    x = _float_log(small, base)
+    x = _float_log(small) / log_base
     if abs(x - round(x)) < TIE_TOLERANCE:
         lb = round(x) - 1
     else:
         lb = math.floor(x)
-    y = _float_log(1 / small, base)
+    y = _float_log(big) / log_base
     if abs(y - round(y)) < TIE_TOLERANCE:
         ub = round(y) + 1
     else:
@@ -64,7 +69,7 @@ def grid_bounds(c: RationalLike, K: int, eps: RationalLike) -> tuple[int, int]:
 
     while base**lb > small:
         lb -= 1
-    while base**ub < 1 / small:
+    while base**ub < big:
         ub += 1
     return lb, ub
 

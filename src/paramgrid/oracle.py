@@ -14,8 +14,8 @@ from fractions import Fraction
 from itertools import combinations, islice
 from typing import Sequence
 
-from .errors import DomainError, TooLargeError
-from .grid import GridSpec, grid_points
+from .errors import DomainError, InvalidInstanceError, TooLargeError
+from .grid import GridSpec, _float_log, compact_box, grid_points
 from .model import (
     ExplicitList,
     Lambda,
@@ -60,30 +60,21 @@ def enumerate_solutions(instance: ProblemInstance) -> tuple[SolutionRecord, ...]
             records.append(cut_record(instance, side))
         return tuple(records)
     if isinstance(payload, KnapsackData):
-        if len(payload.items) > MAX_KNAPSACK_ITEMS:
-            raise TooLargeError(f"subset enumeration needs n <= {MAX_KNAPSACK_ITEMS}")
-        records = []
-        for mask in range(1 << len(payload.items)):
-            chosen = [i for i in range(len(payload.items)) if mask >> i & 1]
-            if sum(payload.items[i].weight for i in chosen) <= payload.budget:
-                records.append(
-                    record_from_elements(payload, instance.lambda_min, "items", chosen)
-                )
-        return tuple(records)
-    if isinstance(payload, IndependenceSystem):
-        if payload.n > MAX_INDEPENDENCE_ELEMENTS:
-            raise TooLargeError(
-                f"independent-set enumeration needs n <= {MAX_INDEPENDENCE_ELEMENTS}"
-            )
-        records = []
-        for mask in range(1 << payload.n):
-            chosen = [i for i in range(payload.n) if mask >> i & 1]
-            if payload.independent(chosen):
-                records.append(
-                    record_from_elements(payload, instance.lambda_min, "elements", chosen)
-                )
-        return tuple(records)
-    raise TooLargeError(f"cannot enumerate payload type {type(payload).__name__}")
+        n, cap, kind, what = len(payload.items), MAX_KNAPSACK_ITEMS, "items", "subset"
+        feasible = lambda chosen: sum(payload.items[i].weight for i in chosen) <= payload.budget
+    elif isinstance(payload, IndependenceSystem):
+        n, cap, kind, what = payload.n, MAX_INDEPENDENCE_ELEMENTS, "elements", "independent-set"
+        feasible = payload.independent
+    else:
+        raise TooLargeError(f"cannot enumerate payload type {type(payload).__name__}")
+    if n > cap:
+        raise TooLargeError(f"{what} enumeration needs n <= {cap}")
+    records = []
+    for mask in range(1 << n):
+        chosen = [i for i in range(n) if mask >> i & 1]
+        if feasible(chosen):
+            records.append(record_from_elements(payload, instance.lambda_min, kind, chosen))
+    return tuple(records)
 
 
 def pareto_prune(records: Sequence[SolutionRecord], sense: Sense) -> tuple[SolutionRecord, ...]:
@@ -140,7 +131,7 @@ def _checked_weight(instance: ProblemInstance, w: Sequence[RationalLike]) -> Wei
 
 @dataclass
 class ExhaustiveOracle:
-    """Exact solver by scan over the (pruned) enumerated solution set."""
+    """Exact solver, and the library's one exact optimum: a scan over the pruned enumeration."""
 
     instance: ProblemInstance
     _scan: _ScanState = field(init=False, repr=False)
@@ -150,21 +141,12 @@ class ExhaustiveOracle:
         self._scan = _ScanState(pruned, self.instance.sense)
 
     def __call__(self, instance: ProblemInstance, lam: Sequence[RationalLike]) -> SolutionRecord:
-        vec = check_lambda(instance, lam)
-        return self._scan.best(weight_from_lambda(vec, instance.lambda_min))[0]
+        return self.optimum(lam)[0]
 
     def optimum(self, lam: Sequence[RationalLike]) -> tuple[SolutionRecord, Fraction]:
+        """Exact optimizer and optimal value at ``lam``."""
         vec = check_lambda(self.instance, lam)
         return self._scan.best(weight_from_lambda(vec, self.instance.lambda_min))
-
-
-def brute_force_optimum(
-    instance: ProblemInstance, lam: Sequence[RationalLike]
-) -> tuple[SolutionRecord, Fraction]:
-    """Exact optimizer and optimal value by full enumeration."""
-    weight = weight_from_lambda(check_lambda(instance, lam), instance.lambda_min)
-    # unpruned, so ties go to the first record in enumeration order
-    return _ScanState(enumerate_solutions(instance), instance.sense).best(weight)
 
 
 def _fraction_in(rng: random.Random, lo: Fraction, hi: Fraction, denominator: int = 4096) -> Fraction:
@@ -212,9 +194,8 @@ def sample_parameters_labeled(
                 return out[:n]
             out.append(("grid-point", spec.point(idx)))
 
-    box_lo = spec.c**spec.K / Fraction(math.factorial(spec.K + 1))
-    box_hi = Fraction(math.factorial(spec.K + 1)) / spec.c**spec.K
-    lo_log, hi_log = _flog(box_lo), _flog(box_hi)
+    box_lo, box_hi = compact_box(spec.c, spec.K)
+    lo_log, hi_log = _float_log(box_lo), _float_log(box_hi)
     cell_top = max(spec.ub - 1, spec.lb)
     while len(out) < n:
         if rng.random() < 0.5:
@@ -235,10 +216,6 @@ def sample_parameters_labeled(
                 lam.append(lm[k] + offset)
             out.append(("box-log-uniform", tuple(lam)))
     return out[:n]
-
-
-def _flog(x: Fraction) -> float:
-    return math.log(x.numerator) - math.log(x.denominator)
 
 
 @dataclass
@@ -331,14 +308,16 @@ def verify_approximation_set(
     instance: ProblemInstance,
     solutions,
     beta: RationalLike,
-    samples: Sequence[Lambda] | Sequence[tuple[str, Lambda]],
+    samples: Sequence[tuple[str, Lambda]],
 ) -> VerificationReport:
-    """Check that some pooled solution is beta-approximate at every sample."""
+    """Check that some pooled solution is beta-approximate at every (label, lambda) sample."""
     probes = []
-    for s in samples:
-        label, lam = (
-            s if isinstance(s, tuple) and len(s) == 2 and isinstance(s[0], str) else ("custom", s)
-        )
+    for sample in samples:
+        label, lam = sample if isinstance(sample, tuple) and len(sample) == 2 else (None, None)
+        if not isinstance(label, str) or not isinstance(lam, (tuple, list)):
+            raise InvalidInstanceError(
+                f"a verify sample must be a (label, lambda vector) pair, got {sample!r}"
+            )
         vec = check_lambda(instance, lam)
         probes.append((label, vec, weight_from_lambda(vec, instance.lambda_min)))
     return _verify(instance, solutions, beta, probes, "parameter")

@@ -237,10 +237,16 @@ def approximation_set_from_dict(doc: dict) -> ApproximationSet:
     oracle_name = doc.get("oracle", "")
     if not isinstance(oracle_name, str):
         raise InvalidInstanceError(f"oracle must be a string, got {oracle_name!r}")
+    alpha = parse_frac(_require(doc, "alpha"))
+    if alpha < 1:  # no solver beats the optimum
+        raise InvalidInstanceError(f"alpha must be at least 1, got {alpha}")
+    requested_eps = parse_frac(_require(doc, "requested_epsilon"))
+    if not 0 < requested_eps < 1:  # approximate refuses any other
+        raise InvalidInstanceError(f"requested_epsilon must lie in (0, 1), got {requested_eps}")
     return ApproximationSet(
-        requested_eps=parse_frac(_require(doc, "requested_epsilon")),
+        requested_eps=requested_eps,
         eps=eps,
-        alpha=parse_frac(_require(doc, "alpha")),
+        alpha=alpha,
         c=c,
         spec=spec,
         sense=Sense.parse(_require(doc, "sense")),

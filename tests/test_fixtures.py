@@ -11,7 +11,7 @@ from paramgrid.fixtures import (
     check_section3,
     forced_cover_gadget,
     separation_chain,
-    small_cover_pair,
+    small_cover_gadget,
 )
 
 
@@ -46,32 +46,32 @@ class TestForcedCoverGadget:
 
 class TestAppendixExample:
     def test_closed_forms_beta2_z5(self):
-        _, a2 = small_cover_pair(F(2), F(5))
-        assert a2.record("x").F == (F(10), F(1), F(1))
-        assert a2.record("x1").F == (F(5), F(4), F(124))
-        assert a2.record("x2").F == (F(5), F(16), F(16))
-        assert a2.record("x3").F == (F(5), F(124), F(4))
-        assert a2.record("xb2").F == (F(4), F(16), F(16))
+        gadget = small_cover_gadget(F(2), F(5))
+        assert gadget.record("x").F == (F(10), F(1), F(1))
+        assert gadget.record("x1").F == (F(5), F(4), F(124))
+        assert gadget.record("x2").F == (F(5), F(16), F(16))
+        assert gadget.record("x3").F == (F(5), F(124), F(4))
+        assert gadget.record("xb2").F == (F(4), F(16), F(16))
 
     def test_pairwise_witness_arithmetic(self):
         # At the middle witness the end solutions tie and lose by beta.
-        _, a2 = small_cover_pair(F(2), F(5))
-        w2 = a2.witnesses["pairwise"][1]
+        gadget = small_cover_gadget(F(2), F(5))
+        w2 = gadget.witnesses["pairwise"][1]
         assert w2 == (F(0), F(1), F(1))
-        assert 2 * augmented_evaluate(a2.record("x2"), w2) == F(64)
-        assert augmented_evaluate(a2.record("x1"), w2) == F(128)
-        assert augmented_evaluate(a2.record("x3"), w2) == F(128)
+        assert 2 * augmented_evaluate(gadget.record("x2"), w2) == F(64)
+        assert augmented_evaluate(gadget.record("x1"), w2) == F(128)
+        assert augmented_evaluate(gadget.record("x3"), w2) == F(128)
 
     def test_region_boundary_is_tight(self):
-        _, a2 = small_cover_pair(F(2), F(5))
+        gadget = small_cover_gadget(F(2), F(5))
         w = (F(31, 2), F(1, 2), F(1, 2))
         assert w[0] == (F(2) ** 5 - 1) / F(2) * (w[1] + w[2])
-        assert augmented_evaluate(a2.record("x"), w) == F(156)
-        assert 2 * augmented_evaluate(a2.record("xb2"), w) == F(156)
+        assert augmented_evaluate(gadget.record("x"), w) == F(156)
+        assert 2 * augmented_evaluate(gadget.record("xb2"), w) == F(156)
 
     def test_hypothesis_guard(self):
         with pytest.raises(InvalidInstanceError):
-            small_cover_pair(F(2), F(4))  # needs z0 >= beta^2/(beta-1)+1 = 5
+            small_cover_gadget(F(2), F(4))  # needs z0 >= beta^2/(beta-1)+1 = 5
 
     def test_facts_small_sample(self):
         report = check_appendix_example(F(2), F(5), samples=600, seed=4)

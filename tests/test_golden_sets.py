@@ -6,10 +6,13 @@ bytes (every cell, every record, tie choices included), so a scaling or
 ordering slip that keeps the values but changes a record fails here.  A
 second test checks every entry against enumeration, so a digest is only
 ever pinned on answers that are alpha-approximate at their grid points.
+The JSON of a seeded verify report on each set, and of three fixture
+reports, is pinned the same way, in the layout the CLI prints.
 """
 from __future__ import annotations
 
 import hashlib
+import json
 import random
 from fractions import Fraction as F
 
@@ -23,8 +26,15 @@ from paramgrid import (
     approximate,
     evaluate,
     explicit_instance,
+    sample_parameters_labeled,
+    verify_approximation_set,
 )
-from paramgrid.serialization import save_approximation_set
+from paramgrid.fixtures import check_fixture
+from paramgrid.serialization import (
+    fixture_report_to_dict,
+    save_approximation_set,
+    verification_report_to_dict,
+)
 from paramgrid.solvers import (
     cut_graph,
     from_generators,
@@ -137,3 +147,52 @@ def test_every_entry_is_alpha_approximate_at_its_point(name):
         lam = aset.spec.point(idx)
         opt = optimum_by_enumeration(instance, lam)
         assert ratio_ok(instance, evaluate(instance, rec, lam), opt, aset.alpha), idx
+
+
+def _digest(doc: dict) -> str:
+    # the layout the CLI prints
+    return hashlib.sha256(json.dumps(doc, indent=2, sort_keys=True).encode()).hexdigest()
+
+
+VERIFY_GOLDEN = {
+    "mincut-k2": "4f1921f0998eae0de2c9df8d2c823db956093a3402e98376c7f9e7aa604800d8",
+    "knapsack-dp-eps-1/8": "c0cadbffe891dd2ffe2aa0242813e8a54e04a0a7b342db0626186f5d07cf8424",
+    "knapsack-scaling": "2450b3bb9d2274b981e3580e8d5621a81dc216f0aaf384685eae14bed97a6a24",
+    "greedy": "7fde75f9eae432f6cf1d635e1fabdd3bf6a8e8c479ca7057e1ccf6df65ae6c7f",
+    "explicit-k2": "0d151b51853fee2d265c77f9209f52c98a6cd073ec7dbf64f5e3b2f4941059b6",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_verify_report_matches_golden_digest(name):
+    build, _ = GOLDEN[name]
+    instance, oracle, eps = build()
+    aset = approximate(instance, eps, oracle)
+    samples = sample_parameters_labeled(instance, aset.spec, 200, seed=3)
+    report = verify_approximation_set(instance, aset, aset.guarantee, samples)
+    assert report.passed
+    assert _digest(verification_report_to_dict(report)) == VERIFY_GOLDEN[name]
+
+
+FIXTURE_GOLDEN = {
+    "section3": (
+        dict(beta=F(3, 2), K=2, samples=300, seed=1),
+        "fa692899ae0c44732c591b3ca0ce3b4bc8f80bc8fbfe6860806dbe33c24d4839",
+    ),
+    "appendix-example": (
+        dict(beta=F(2), z0=F(5), samples=300, seed=2),
+        "34150dfe787c4d70307b122b1324c16f744d027a92f4bc4172db1045844b2e89",
+    ),
+    "appendix-proof": (
+        dict(beta=F(2), z0=F(5), L=3),
+        "e78dac4bc279614aa06333a86a843a9144e9ed078c6412bccf07d45e21fb1e26",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_GOLDEN))
+def test_fixture_report_matches_golden_digest(name):
+    kwargs, digest = FIXTURE_GOLDEN[name]
+    report = check_fixture(name, **kwargs)
+    assert report.passed
+    assert _digest(fixture_report_to_dict(report)) == digest

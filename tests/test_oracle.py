@@ -6,7 +6,6 @@ from paramgrid import (
     SolutionRecord,
     Sense,
     augmented_evaluate,
-    brute_force_optimum,
     enumerate_solutions,
     evaluate,
     explicit_instance,
@@ -17,9 +16,18 @@ from paramgrid import (
     verify_approximation_set,
     verify_on_weights,
 )
-from paramgrid.errors import TooLargeError
+from paramgrid.errors import InvalidInstanceError, TooLargeError
 from paramgrid.oracle import ExhaustiveOracle, _ScanState
-from paramgrid.solvers import knapsack_data, knapsack_instance, min_cut_solve, knapsack_solve
+from paramgrid.solvers import (
+    cut_graph,
+    from_generators,
+    independence_instance,
+    knapsack_data,
+    knapsack_instance,
+    knapsack_solve,
+    min_cut_solve,
+    mincut_instance,
+)
 
 from conftest import (
     optimum_by_enumeration,
@@ -44,22 +52,19 @@ def rec(name, *values):
 
 class TestBruteForce:
     def test_toy_knapsack(self):
-        x, val = brute_force_optimum(toy_knapsack(), [F(1)])
+        x, val = ExhaustiveOracle(toy_knapsack()).optimum([F(1)])
         assert x.encoding == ("items", (1,))
         assert val == 6
 
     def test_single_solution(self):
         inst = explicit_instance([rec("only", 2, 1)], K=1)
-        x, val = brute_force_optimum(inst, [F(0)])
+        x, val = ExhaustiveOracle(inst).optimum([F(0)])
         assert x.encoding == ("explicit", "only")
         assert val == 2
 
     def test_path_cut(self):
-        from conftest import random_cut  # noqa: F401 (structure parity)
-        from paramgrid.solvers import cut_graph, mincut_instance
-
         inst = mincut_instance(cut_graph(3, [(0, 1, 3, (0,)), (1, 2, 1, (1,))], 0, 2, 1))
-        x, val = brute_force_optimum(inst, [F(1)])
+        x, val = ExhaustiveOracle(inst).optimum([F(1)])
         assert x.encoding == ("cut", (0, 1))
         assert val == 2
 
@@ -70,10 +75,50 @@ class TestBruteForce:
             enumerate_solutions(inst)
 
 
+def path_cut(n):
+    return mincut_instance(cut_graph(n, [(v, v + 1, 1, (1,)) for v in range(n - 1)], 0, n - 1, 1))
+
+
+def unit_knapsack(n, budget=1):
+    return knapsack_instance(knapsack_data([(1, (1,), 1)] * n, budget=budget, K=1))
+
+
+def pair_system(n, generators=((0, 1),)):
+    return independence_instance(from_generators(n, generators, [(1, (1,))] * n, 1))
+
+
+class TestEnumeration:
+    @pytest.mark.parametrize(
+        "make, cap, count, message",
+        [
+            (path_cut, 10, 2**8, "cut enumeration needs n <= 10"),
+            (unit_knapsack, 15, 16, "subset enumeration needs n <= 15"),
+            (pair_system, 15, 4, "independent-set enumeration needs n <= 15"),
+        ],
+        ids=["mincut", "knapsack", "independence"],
+    )
+    def test_cap(self, make, cap, count, message):
+        assert len(enumerate_solutions(make(cap))) == count
+        with pytest.raises(TooLargeError) as info:
+            enumerate_solutions(make(cap + 1))
+        assert str(info.value) == message
+
+    def test_mask_order(self):
+        # bit i of the mask is element i; masks count up from the empty set
+        knapsack = enumerate_solutions(unit_knapsack(3, budget=2))
+        assert [r.encoding[1] for r in knapsack] == [(), (0,), (1,), (0, 1), (2,), (0, 2), (1, 2)]
+        assert knapsack[0].encoding == ("items", ())
+        system = enumerate_solutions(pair_system(3, [(0, 1), (2,)]))
+        assert [r.encoding for r in system] == [
+            ("elements", ()), ("elements", (0,)), ("elements", (1,)),
+            ("elements", (0, 1)), ("elements", (2,)),
+        ]
+
+
 class TestOneScan:
     """Every exact optimum search runs the same integer scan; it must agree
-    with plain Fraction enumeration, and brute force must break ties towards
-    the first record in enumeration order."""
+    with plain Fraction enumeration and break ties towards the first record
+    it is given."""
 
     def instances(self, rng):
         for _ in range(4):
@@ -92,9 +137,8 @@ class TestOneScan:
             for _ in range(6):
                 lam = random_lambda(rng, inst, spread=20)
                 opt = optimum_by_enumeration(inst, lam)
-                x, val = brute_force_optimum(inst, lam)
-                assert val == opt == exhaustive.optimum(lam)[1]
-                assert x == next(r for r in records if evaluate(inst, r, lam) == opt)
+                x, val = exhaustive.optimum(lam)
+                assert val == opt == evaluate(inst, x, lam)
 
                 w = tuple(F(rng.randint(0, 6), rng.randint(1, 4)) for _ in range(inst.K + 1))
                 if rng.random() < 0.5:
@@ -114,12 +158,11 @@ class TestOneScan:
         assert senses == {Sense.MIN, Sense.MAX}
 
     def test_tie_goes_to_first_enumerated(self):
-        # All four tie at lambda = 1 and at w = (1, 1); the Pareto-sorted
-        # scan of ExhaustiveOracle would put "low" first instead.
+        # All four tie at w = (1, 1); the Pareto-sorted scan of
+        # ExhaustiveOracle would put "low" first instead.
         records = [rec("late", 3, 1), rec("tie-a", 2, 2), rec("tie-b", 2, 2), rec("low", 1, 3)]
         for sense in (Sense.MIN, Sense.MAX):
             inst = explicit_instance(records, K=1, sense=sense)
-            assert brute_force_optimum(inst, [F(1)]) == (records[0], F(4))
             scan = _ScanState(enumerate_solutions(inst), sense)
             assert scan.best([F(1), F(1)]) == (records[0], F(4))
             assert scan.best([F(0), F(0)]) == (records[0], F(0))
@@ -199,6 +242,16 @@ class TestVerify:
         report = verify_approximation_set(inst, only_first, F(3, 2), samples)
         assert not report.passed
         assert report.worst_ratio > F(3, 2)
+
+    @pytest.mark.parametrize(
+        "K, sample",
+        [(1, (F(1, 2),)), (2, ("1/2", "3")), (2, (F(1, 2), F(3)))],
+        ids=["bare-k1-vector", "k2-string-vector", "k2-fraction-vector"],
+    )
+    def test_sample_must_be_labeled(self, K, sample):
+        inst = explicit_instance([rec("only", *range(1, K + 2))], K=K)
+        with pytest.raises(InvalidInstanceError, match=r"\(label, lambda vector\) pair"):
+            verify_approximation_set(inst, enumerate_solutions(inst), F(1), [sample])
 
     def test_lone_spike_fails_at_opposite_axis(self):
         # Keeping only one spike of the forced-cover gadget fails at the

@@ -363,6 +363,8 @@ class TestSetFileChecks:
             _refer(lambda doc: True),
             lambda doc: doc["cells"].append(0),
             _put("oracle", [1, 2]),
+            _put("alpha", "-1"),
+            _put("requested_epsilon", "7"),
         ],
         ids=[
             "missing-entry",
@@ -388,6 +390,8 @@ class TestSetFileChecks:
             "cell-is-bool",
             "cells-one-too-many",
             "oracle-not-string",
+            "alpha-below-one",
+            "requested-epsilon-outside-unit-interval",
         ],
     )
     def test_corrupt_set_refused(self, tmp_path, capsys, corrupt):
