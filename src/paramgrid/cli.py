@@ -9,7 +9,8 @@ Exit codes: 0 success, 2 schema or usage error (argparse exits 2 on a bad
 flag, such as ``--samples 0``), 3 accuracy parameter out of range,
 4 grid cap exceeded, 5 parameter vector below its domain, 6 verification
 failed (the report is still written), 7 instance too large for the exhaustive
-reference that ``verify`` enumerates.
+reference that ``verify`` enumerates, or for the cover search of fixture
+``section3`` (K at most 11).
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ import sys
 import time
 from fractions import Fraction
 
-from . import engine, fixtures, oracle, serialization
+from . import engine, fixtures, oracle, serialization, weights
 from .errors import (
     DomainError,
     EpsilonRangeError,
@@ -28,7 +29,7 @@ from .errors import (
     ParamGridError,
     TooLargeError,
 )
-from .grid import DEFAULT_GRID_CAP
+from .grid import DEFAULT_GRID_CAP, snap
 from .model import evaluate
 
 EXIT_OK = 0
@@ -78,6 +79,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_query.add_argument("instance", help="instance JSON file")
     p_query.add_argument("--lam", action="append", required=True, type=_parse_fraction_arg,
                          help="one parameter coordinate per flag, in order")
+    p_query.add_argument("--explain", action="store_true",
+                         help="also print the weight, each lift step, the compact lambda "
+                              "and the snapped cell")
 
     p_verify = sub.add_parser("verify", help="check the set property or a fixture's facts")
     p_verify.add_argument("instance", nargs="?", help="instance JSON file (omit with --fixture)")
@@ -86,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="run a named fixture's fact checks instead")
     p_verify.add_argument("--beta", type=_parse_fraction_arg, required=True,
                           help="target approximation factor")
-    p_verify.add_argument("--K", type=int, help="parameter count (fixture section3)")
+    p_verify.add_argument("--K", type=int, help="parameter count (fixture section3, at most 11)")
     p_verify.add_argument("--z0", type=_parse_fraction_arg, help="scale parameter (appendix fixtures)")
     p_verify.add_argument("--L", type=int, help="chain length (fixture appendix-proof)")
     p_verify.add_argument("--samples", type=_positive_int_arg, default=1000,
@@ -139,8 +143,24 @@ def _cmd_query(args) -> int:
         "value": serialization.frac_str(evaluate(instance, rec, args.lam)),
         "guarantee": serialization.frac_str(aset.guarantee),
     }
+    if args.explain:
+        doc["explain"] = _explain(aset, instance, args.lam)
     _emit(doc, None)
     return EXIT_OK
+
+
+def _explain(aset: engine.ApproximationSet, instance, lam) -> dict:
+    """The query's stages with its lift certificate, which ``query`` itself never builds."""
+    frac = serialization.frac_str
+    w = weights.weight_from_lambda(lam, instance.lambda_min)
+    cert = weights.lift_to_cone(w, aset.c)
+    compact = weights.lambda_from_weight(cert.final, instance.lambda_min)
+    return {
+        "weight": [frac(v) for v in w],
+        "lift": [{"indices": list(step.indices), "mu": frac(step.mu)} for step in cert.steps],
+        "compact_lambda": [frac(v) for v in compact],
+        "cell": list(snap(aset.spec, compact)),
+    }
 
 
 def _cmd_verify(args) -> int:

@@ -7,8 +7,8 @@ it calls the solver at most once per point and usually far less often.  The
 result covers every admissible parameter vector within factor (1 + eps)
 times the solver's own guarantee.  ``query`` maps an arbitrary parameter
 vector to its responsible grid entry: convert to the weight
-(1, lambda - lambda_min), lift it into the irreducible cone, map back to a
-compact-box parameter vector and snap to its grid cell.
+(1, lambda - lambda_min), lift it into the irreducible cone, and snap the
+compact-box parameter vector it stands for to its grid cell.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from math import isqrt
 from typing import Callable, Sequence
 
 from .errors import EpsilonRangeError, GridCapError, InvalidInstanceError, OracleError
-from .grid import DEFAULT_GRID_CAP, GridIndex, GridSpec, make_spec, snap
+from .grid import DEFAULT_GRID_CAP, GridIndex, GridSpec, make_spec
 from .model import (
     ExplicitList,
     Lambda,
@@ -27,10 +27,11 @@ from .model import (
     RationalLike,
     Sense,
     SolutionRecord,
+    _clear_denominators,
     as_fraction,
     check_lambda,
 )
-from .weights import lambda_from_weight, lift_to_cone, threshold, weight_from_lambda
+from .weights import lift_integer_weight, threshold
 
 OracleFn = Callable[[ProblemInstance, Lambda], SolutionRecord]
 
@@ -224,11 +225,16 @@ def query(
     The returned record is (1 + eps) * alpha approximate at ``lam``
     (reciprocal form for maximization): conversion to the weight
     (1, lambda - lambda_min), cone lifting and snapping compose the run's
-    per-step losses into exactly that factor.
+    per-step losses into exactly that factor.  Every step after the weight
+    is scale-invariant, so all of them run on one integer multiple of it;
+    ``lift_to_cone`` gives the same lift with its certificate.
     """
     vec = check_lambda(instance, lam)
-    w = weight_from_lambda(vec, instance.lambda_min)
-    cert = lift_to_cone(w, aset.c)
-    compact = lambda_from_weight(cert.final, instance.lambda_min)
-    idx = snap(aset.spec, compact)
+    # D * (1, lambda - lambda_min) for the common denominator D of both vectors
+    ints, D = _clear_denominators(vec + instance.lambda_min)
+    K = instance.K
+    offsets = [v - lm for v, lm in zip(ints[:K], ints[K:])]
+    c = aset.c
+    _, w, _ = lift_integer_weight([D, *offsets], c.numerator, c.denominator)
+    idx = tuple(aset.spec.floor_exponent(k, w[k + 1], w[0]) for k in range(K))
     return aset.entries[idx]

@@ -9,7 +9,6 @@ produces snaps into the grid.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -105,6 +104,37 @@ class GridSpec:
         """Exact base^lb, ..., base^(ub+1), built on first use so set loads never pay for it."""
         return tuple(self.base**i for i in range(self.lb, self.ub + 2))
 
+    @cached_property
+    def _power_terms(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Numerators and denominators of ``powers``, for comparisons on integers."""
+        return (
+            tuple(v.numerator for v in self.powers),
+            tuple(v.denominator for v in self.powers),
+        )
+
+    def floor_exponent(self, k: int, num: int, den: int) -> int:
+        """Largest grid exponent m with base^m <= num/den, the offset of coordinate k.
+
+        One bisection over the cached powers a/b counts those with
+        a * den <= b * num.  An offset outside [base^lb, base^(ub+1))
+        indicates an upstream bug and raises ``SnapRangeError``.
+        """
+        nums, dens = self._power_terms
+        lo, hi = 0, len(nums)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if nums[mid] * den <= dens[mid] * num:
+                lo = mid + 1
+            else:
+                hi = mid
+        # lo counts the powers <= num/den, so m = lb + lo - 1
+        if not 1 <= lo <= self.span:
+            raise SnapRangeError(
+                f"offset {Fraction(num, den)} in coordinate {k} outside "
+                f"[base^{self.lb}, base^{self.ub + 1})"
+            )
+        return self.lb + lo - 1
+
     def indices(self) -> Iterator[GridIndex]:
         """Every index vector of [lb, ub]^K in lexicographic order, the order set files store."""
         return product(range(self.lb, self.ub + 1), repeat=self.K)
@@ -155,20 +185,11 @@ def grid_points(spec: GridSpec, cap: int = DEFAULT_GRID_CAP) -> Iterator[tuple[G
 def snap(spec: GridSpec, lam: Sequence[RationalLike]) -> GridIndex:
     """Grid index of the cell floor of a compact-box point.
 
-    Coordinate k maps to the largest m_k with base^{m_k} <= lambda_k - lambda_min_k,
-    found exactly by bisection over the powers in ``spec.powers``.  Offsets outside
-    [base^lb, base^(ub+1)) indicate an upstream bug and raise ``SnapRangeError``.
+    Coordinate k maps to the largest m_k with base^{m_k} <= lambda_k - lambda_min_k
+    (``GridSpec.floor_exponent``).
     """
     vec = as_vector(lam, spec.K)
-    powers = spec.powers
-    idx = []
-    for k, (v, lm) in enumerate(zip(vec, spec.lambda_min)):
-        offset = v - lm
-        # pos counts the powers <= offset, so m_k = lb + pos - 1
-        pos = bisect_right(powers, offset)
-        if not 1 <= pos <= spec.span:
-            raise SnapRangeError(
-                f"offset {offset} in coordinate {k} outside [base^{spec.lb}, base^{spec.ub + 1})"
-            )
-        idx.append(spec.lb + pos - 1)
-    return tuple(idx)
+    offsets = (v - lm for v, lm in zip(vec, spec.lambda_min))
+    return tuple(
+        spec.floor_exponent(k, off.numerator, off.denominator) for k, off in enumerate(offsets)
+    )

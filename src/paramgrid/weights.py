@@ -8,16 +8,27 @@ most an additive eps' in the approximation factor.  Weights outside every
 reducible region form a closed cone; ``lift_to_cone`` moves any nonzero
 weight into it in at most K steps and returns a certificate expressing the
 original weight as an exact convex combination of the lifted weight and its
-group projections.
+group projections.  The lift itself runs on integers
+(``lift_integer_weight``), which ``query`` calls without a certificate.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import DomainError
-from .model import ONE, Lambda, RationalLike, Weight, ZERO, as_fraction, check_weight
+from .model import (
+    ONE,
+    Lambda,
+    RationalLike,
+    Weight,
+    ZERO,
+    _clear_denominators,
+    as_fraction,
+    check_weight,
+)
 
 
 def threshold(
@@ -40,12 +51,12 @@ def threshold(
     return e * lb / (b * ub)
 
 
-def _first_below(values: Sequence[Fraction], c: Fraction) -> tuple[int, Fraction] | None:
-    """(Last position, sum) of the first prefix below c times the next value, or None."""
-    prefix = ZERO
+def _first_below(values: Sequence[int], p: int, q: int) -> tuple[int, int] | None:
+    """(Last position, sum) of the first prefix below c = p/q times the next value, or None."""
+    prefix = 0
     for k in range(len(values) - 1):
         prefix += values[k]
-        if prefix < c * values[k + 1]:
+        if prefix * q < p * values[k + 1]:
             return k, prefix
     return None
 
@@ -57,7 +68,47 @@ def in_cone(w: Sequence[RationalLike], c: RationalLike) -> bool:
     threshold (any qualifying group consists of strictly smaller components
     than everything outside it), so K prefix checks decide membership.
     """
-    return _first_below(sorted(check_weight(w)), as_fraction(c)) is None
+    ints, _ = _clear_denominators(check_weight(w))
+    cc = as_fraction(c)
+    return _first_below(sorted(ints), cc.numerator, cc.denominator) is None
+
+
+def lift_integer_weight(
+    w: Sequence[int], p: int, q: int
+) -> tuple[list[int], list[int], list[tuple[int, int, int, tuple[int, ...]]]]:
+    """Cone lift of a nonnegative integer weight for the threshold c = p/q.
+
+    Every step is scale-invariant, so the lift runs on integers: the weight
+    is only ever known up to a positive factor.  Works in a fixed ascending
+    component order (ties broken by original index), which each step
+    preserves, and terminates after at most K steps.  Returns that order, the
+    lifted weight in original index order, and per step the prefix position,
+    mu as numerator and denominator, and the ascending integers after it.
+    """
+    n = len(w)
+    order = sorted(range(n), key=w.__getitem__)
+    cur = [w[i] for i in order]
+    steps = []
+    while (hit := _first_below(cur, p, q)) is not None:
+        top, inside = hit
+        # put the prefix on c times its next value: scale it by p * next and
+        # everything else by the prefix's own sum times q
+        target = p * cur[top + 1]
+        if inside:
+            head = [v * target for v in cur[: top + 1]]
+            rest = inside * q
+        else:
+            # an all-zero prefix splits its target evenly
+            head = [target] * (top + 1)
+            rest = q * (top + 1)
+        cur = head + [v * rest for v in cur[top + 1 :]]
+        g = math.gcd(*cur)
+        cur = [v // g for v in cur]
+        steps.append((top, inside * q, target, tuple(cur)))
+    lifted = [0] * n
+    for pos, i in enumerate(order):
+        lifted[i] = cur[pos]
+    return order, lifted, steps
 
 
 @dataclass(frozen=True)
@@ -92,46 +143,37 @@ class LiftCertificate:
 
 
 def lift_to_cone(w: Sequence[RationalLike], c: RationalLike) -> LiftCertificate:
-    """Iteratively lift the smallest below-threshold prefix until irreducible.
+    """Lift a nonzero weight into the irreducible cone, with its certificate.
 
-    Works in a fixed ascending component order (ties broken by original
-    index), which each step preserves.  Terminates after at most K steps.
+    Runs ``lift_integer_weight`` on the weight with cleared denominators.  The
+    largest component is never in a lifted prefix, so each step's exact
+    weight is its integers rescaled to give that component its start value.
     """
     vec = check_weight(w)
     cc = as_fraction(c)
     if all(v == 0 for v in vec):
         raise DomainError("cannot lift the zero weight")
-    n = len(vec)
-    order = tuple(sorted(range(n), key=lambda i: (vec[i], i)))
-    cur = [vec[i] for i in order]
+    ints, _ = _clear_denominators(vec)
+    order, _, trail = lift_integer_weight(ints, cc.numerator, cc.denominator)
+    top_value = vec[order[-1]]
 
-    steps: list[LiftStep] = []
-    while (hit := _first_below(cur, cc)) is not None:
-        top, inside = hit
-        target = cc * cur[top + 1]
-        if inside > 0:
-            mu = inside / target
-            for i in range(top + 1):
-                cur[i] = cur[i] / inside * target
-        else:
-            mu = ZERO
-            share = target / (top + 1)
-            for i in range(top + 1):
-                cur[i] = share
-        lifted = [ZERO] * n
+    steps = []
+    for top, mu_num, mu_den, cur in trail:
+        scale = top_value / cur[-1]
+        lifted = [ZERO] * len(vec)
         for pos, i in enumerate(order):
-            lifted[i] = cur[pos]
+            lifted[i] = cur[pos] * scale
         steps.append(
             LiftStep(
                 prefix_top=top,
                 indices=tuple(sorted(order[: top + 1])),
                 weight=tuple(lifted),
-                mu=mu,
+                mu=Fraction(mu_num, mu_den),
             )
         )
 
     final = steps[-1].weight if steps else vec
-    return LiftCertificate(start=vec, steps=tuple(steps), final=final, order=order)
+    return LiftCertificate(start=vec, steps=tuple(steps), final=final, order=tuple(order))
 
 
 def weight_from_lambda(lam: Sequence[RationalLike], lambda_min: Sequence[RationalLike]) -> Weight:

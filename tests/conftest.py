@@ -6,7 +6,8 @@ enumeration with Fraction arithmetic, and expected values in tests are frozen
 from these oracles, not from the code under test.  The paper's cone-boundary
 tests, its single lifting step and the convex-combination reconstruction of a
 lift certificate live here too: the library's lift never calls them, and the
-tests check it against them.
+tests check it against them.  ``fraction_lift`` runs the same lift step by
+step on Fractions, the reference for the library's integer lift.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ import pytest
 
 from paramgrid import DomainError, Sense, augmented_evaluate, evaluate, grid_points
 from paramgrid.model import ProblemInstance, SolutionRecord, ZERO, as_fraction, check_weight
-from paramgrid.weights import LiftCertificate
+from paramgrid.weights import LiftCertificate, LiftStep
 from paramgrid.oracle import enumerate_solutions
 from paramgrid.solvers import (
     cut_graph,
@@ -99,6 +100,60 @@ def lift_once(w, indices, c):
         for i in group:
             out[i] = share
     return tuple(out)
+
+
+def _fraction_first_below(values: Sequence[Fraction], c: Fraction):
+    """(Last position, sum) of the first prefix below c times the next value, or None."""
+    prefix = ZERO
+    for k in range(len(values) - 1):
+        prefix += values[k]
+        if prefix < c * values[k + 1]:
+            return k, prefix
+    return None
+
+
+def fraction_lift(w, c) -> LiftCertificate:
+    """The cone lift on Fractions, step by step, as the paper states it.
+
+    Each step scales the first below-threshold prefix of the ascending order
+    onto c times its next value (or splits that target evenly over an
+    all-zero prefix) and leaves every other component as it is.
+    """
+    vec = check_weight(w)
+    cc = as_fraction(c)
+    if all(v == 0 for v in vec):
+        raise DomainError("cannot lift the zero weight")
+    n = len(vec)
+    order = tuple(sorted(range(n), key=lambda i: (vec[i], i)))
+    cur = [vec[i] for i in order]
+
+    steps = []
+    while (hit := _fraction_first_below(cur, cc)) is not None:
+        top, inside = hit
+        target = cc * cur[top + 1]
+        if inside > 0:
+            mu = inside / target
+            for i in range(top + 1):
+                cur[i] = cur[i] / inside * target
+        else:
+            mu = ZERO
+            share = target / (top + 1)
+            for i in range(top + 1):
+                cur[i] = share
+        lifted = [ZERO] * n
+        for pos, i in enumerate(order):
+            lifted[i] = cur[pos]
+        steps.append(
+            LiftStep(
+                prefix_top=top,
+                indices=tuple(sorted(order[: top + 1])),
+                weight=tuple(lifted),
+                mu=mu,
+            )
+        )
+
+    final = steps[-1].weight if steps else vec
+    return LiftCertificate(start=vec, steps=tuple(steps), final=final, order=order)
 
 
 def hull_coefficients(cert: LiftCertificate) -> tuple:

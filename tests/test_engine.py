@@ -1,3 +1,6 @@
+import cProfile
+import fractions
+import pstats
 import random
 from fractions import Fraction as F
 
@@ -15,7 +18,9 @@ from paramgrid import (
     default_oracle,
     evaluate,
     explicit_instance,
+    lift_to_cone,
     query,
+    weight_from_lambda,
 )
 from paramgrid.engine import rational_sqrt_down
 from paramgrid.errors import OracleError
@@ -224,6 +229,37 @@ class TestQuery:
         aset = approximate(inst, F(1, 2))
         with pytest.raises(DomainError):
             query(aset, inst, (F(-1),))
+
+    def test_runs_on_integers(self):
+        # The lift and the snap run on integers: at most K Fraction
+        # constructions per query, in-core or lifted, for Fraction input.
+        rng = random.Random(12)
+        inst = random_explicit(rng, count=8, K=2, vmax=9)
+        aset = approximate(inst, F(1, 2))
+        in_core = [
+            tuple(lm + F(rng.randint(4, 16), 8) for lm in inst.lambda_min) for _ in range(200)
+        ]
+        lifted = [
+            tuple(lm + F(rng.randint(10, 99), 10) * F(10) ** rng.choice([-6, 6])
+                  for lm in inst.lambda_min)
+            for _ in range(200)
+        ]
+        probes = in_core + lifted
+        depths = [
+            lift_to_cone(weight_from_lambda(lam, inst.lambda_min), aset.c).depth for lam in probes
+        ]
+        assert not any(depths[:200]) and all(depths[200:])
+        profile = cProfile.Profile()
+        profile.enable()
+        for lam in probes:
+            query(aset, inst, lam)
+        profile.disable()
+        new = sum(
+            calls
+            for (path, _line, func), (_cc, calls, *_rest) in pstats.Stats(profile).stats.items()
+            if path == fractions.__file__ and func == "__new__"
+        )
+        assert new <= inst.K * len(probes)
 
 
 class TestGuarantee:

@@ -281,6 +281,42 @@ class TestCli:
             "never-optimal", "singleton-cover", "forced-k-plus-1",
         }
 
+    @pytest.mark.parametrize(
+        "lam, weight, lift, compact",
+        [
+            ("0", ["1", "0"], [{"indices": [1], "mu": "0"}], ["1/25"]),
+            ("1", ["1", "1"], [], ["1"]),
+            ("1000000", ["1", "1000000"], [{"indices": [0], "mu": "1/40000"}], ["25"]),
+        ],
+    )
+    def test_query_explain(self, tmp_path, capsys, lam, weight, lift, compact):
+        inst_path = write(tmp_path, "inst.json", TOY_KNAPSACK)
+        set_path = str(tmp_path / "set.json")
+        assert main(["approximate", inst_path, "--epsilon", "1/2", "--out", set_path]) == 0
+        capsys.readouterr()
+        assert main(["query", set_path, inst_path, "--lam", lam]) == 0
+        plain = capsys.readouterr().out
+        assert main(["query", set_path, inst_path, "--lam", lam, "--explain"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        explain = doc.pop("explain")
+        # the explanation is the only addition to the plain answer
+        assert json.dumps(doc, indent=2, sort_keys=True) + "\n" == plain
+        assert explain["weight"] == weight  # c = 1/25 on this instance
+        assert explain["lift"] == lift
+        assert explain["compact_lambda"] == compact
+        aset = load_approximation_set(set_path)
+        answered = aset.entries[tuple(explain["cell"])]
+        assert doc["solution"]["F"] == [str(v) for v in answered.F]
+
+    @pytest.mark.parametrize("K, code", [(11, 0), (12, 7)])
+    def test_section3_cover_search_bound(self, capsys, K, code):
+        # the fixture's cover search takes at most 12 solutions, and it has K + 1 spikes
+        argv = ["verify", "--fixture", "section3", "--beta", "2", "--K", str(K), "--samples", "10"]
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err == "error: cover search needs at most 12 solutions\n"
+
     def test_reports_byte_stable(self, tmp_path, capsys):
         inst_path = write(tmp_path, "inst.json", TOY_KNAPSACK)
         set_path = str(tmp_path / "set.json")

@@ -3,23 +3,31 @@ from fractions import Fraction as F
 from math import factorial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from paramgrid import (
+    ApproximationSet,
     DomainError,
+    ProblemInstance,
+    Sense,
+    SolutionRecord,
     augmented_evaluate,
     in_cone,
     lambda_from_weight,
     lift_to_cone,
+    make_spec,
+    query,
+    snap,
     threshold,
     weight_from_lambda,
 )
-from paramgrid.model import ZERO
+from paramgrid.model import ONE, ZERO
 
 from conftest import (
     at_threshold,
     below_threshold,
     cone_member_exhaustive,
+    fraction_lift,
     hull_coefficients,
     lift_once,
     optimum_by_enumeration_weight,
@@ -29,6 +37,15 @@ from conftest import (
 
 small_fracs = st.fractions(min_value=0, max_value=4, max_denominator=16)
 pos_fracs = st.fractions(min_value=F(1, 16), max_value=4, max_denominator=16)
+# zeros, ties among small values, and components many decades apart
+components = st.one_of(
+    st.just(ZERO),
+    small_fracs,
+    st.fractions(min_value=0, max_value=10**9, max_denominator=10**6),
+)
+thresholds = st.fractions(min_value=0, max_value=1, max_denominator=1000).filter(
+    lambda c: 0 < c < 1
+)
 
 
 class TestThreshold:
@@ -207,6 +224,70 @@ class TestLiftToCone:
             lo = c**K / factorial(K + 1)
             hi = factorial(K + 1) / c**K
             assert all(lo <= v <= hi for v in image)
+
+
+class CellEcho(dict):
+    """Entries that answer every grid index with a record naming that index."""
+
+    def __missing__(self, idx):
+        return SolutionRecord(encoding=("cell", idx), F=(ONE,) * (len(idx) + 1))
+
+
+@st.composite
+def query_points(draw):
+    """(lambda, lambda_min) with K = 1..4, offsets from ``components``."""
+    K = draw(st.integers(min_value=1, max_value=4))
+    offsets = draw(st.lists(components, min_size=K, max_size=K))
+    lambda_min = draw(
+        st.lists(st.fractions(min_value=-8, max_value=8, max_denominator=8), min_size=K, max_size=K)
+    )
+    return tuple(lm + off for lm, off in zip(lambda_min, offsets)), tuple(lambda_min)
+
+
+class TestIntegerLift:
+    """The integer lift against ``fraction_lift``, the same lift on Fractions."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        w=st.integers(min_value=2, max_value=5).flatmap(
+            lambda n: st.lists(components, min_size=n, max_size=n)
+        ),
+        c=thresholds,
+    )
+    @example(w=[ONE, ZERO, ZERO], c=F(1, 3))
+    @example(w=[F(1, 2), F(1, 2), F(1, 2)], c=F(1, 2))
+    def test_certificate_equals_fraction_lift(self, w, c):
+        if not any(w):
+            return
+        cert = lift_to_cone(w, c)
+        ref = fraction_lift(w, c)
+        assert cert.order == ref.order
+        assert len(cert.steps) == len(ref.steps)
+        for step, expected in zip(cert.steps, ref.steps):
+            assert step.prefix_top == expected.prefix_top
+            assert step.indices == expected.indices
+            assert step.weight == expected.weight
+            assert step.mu == expected.mu
+        assert cert.final == ref.final
+
+    @settings(max_examples=300, deadline=None)
+    @given(point=query_points(), c=thresholds)
+    @example(point=((F(0), F(-3, 2)), (F(0), F(-3, 2))), c=F(1, 3))
+    def test_query_cell_equals_fraction_path(self, point, c):
+        lam, lambda_min = point
+        K = len(lam)
+        spec = make_spec(c, K, F(1, 2), lambda_min)
+        instance = ProblemInstance(Sense.MIN, K, lambda_min, ONE, ONE, ONE, payload=None)
+        aset = ApproximationSet(
+            requested_eps=spec.eps, eps=spec.eps, alpha=ONE, c=c, spec=spec,
+            sense=Sense.MIN, entries=CellEcho(), solutions=(),
+        )
+        ref = fraction_lift(weight_from_lambda(lam, lambda_min), c)
+        if lam == lambda_min:
+            # all offsets zero: one step whose prefix has no mass below the threshold
+            assert [step.mu for step in ref.steps] == [ZERO]
+        expected = snap(spec, lambda_from_weight(ref.final, lambda_min))
+        assert query(aset, instance, lam).encoding == ("cell", expected)
 
 
 class TestSimplexMaps:
