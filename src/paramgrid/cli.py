@@ -5,8 +5,9 @@ Commands: ``approximate`` (run the grid algorithm and serialize the set),
 ``verify`` (check the set property on an instance, or run a named fixture's
 fact checks) and ``fixtures list``.
 
-Exit codes: 0 success, 2 schema or usage error (argparse exits 2 on a bad
-flag, such as ``--samples 0``), 3 accuracy parameter out of range,
+Exit codes (``EXIT_CODES``): 0 success, 2 schema or usage error (argparse
+exits 2 on a bad flag, such as ``--samples 0``) or a path that cannot be
+read or written, 3 accuracy parameter out of range,
 4 grid cap exceeded, 5 parameter vector below its domain, 6 verification
 failed (the report is still written), 7 instance too large for the exhaustive
 reference that ``verify`` enumerates, or for the cover search of fixture
@@ -40,6 +41,17 @@ EXIT_DOMAIN = 5
 EXIT_VERIFY = 6
 EXIT_TOO_LARGE = 7
 
+#: Exit code of each error a command may raise, most specific first; the first match wins.
+EXIT_CODES: tuple[tuple[type[Exception], int], ...] = (
+    (EpsilonRangeError, EXIT_EPSILON),
+    (GridCapError, EXIT_GRID_CAP),
+    (DomainError, EXIT_DOMAIN),
+    (TooLargeError, EXIT_TOO_LARGE),
+    (InvalidInstanceError, EXIT_SCHEMA),
+    (OSError, EXIT_SCHEMA),
+    (ParamGridError, 1),
+)
+
 
 def _parse_fraction_arg(text: str) -> Fraction:
     try:
@@ -66,6 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_approx = sub.add_parser("approximate", help="run the grid algorithm on an instance file")
+    p_approx.set_defaults(run=_cmd_approximate)
     p_approx.add_argument("instance", help="instance JSON file")
     p_approx.add_argument("--epsilon", type=_parse_fraction_arg, required=True,
                           help="accuracy parameter in (0,1), e.g. 1/2")
@@ -75,6 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="refuse grids larger than this many points")
 
     p_query = sub.add_parser("query", help="look up the solution for a parameter vector")
+    p_query.set_defaults(run=_cmd_query)
     p_query.add_argument("set", help="approximation-set JSON file")
     p_query.add_argument("instance", help="instance JSON file")
     p_query.add_argument("--lam", action="append", required=True, type=_parse_fraction_arg,
@@ -84,6 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "and the snapped cell")
 
     p_verify = sub.add_parser("verify", help="check the set property or a fixture's facts")
+    p_verify.set_defaults(run=_cmd_verify)
     p_verify.add_argument("instance", nargs="?", help="instance JSON file (omit with --fixture)")
     p_verify.add_argument("--set", dest="set_path", help="approximation-set JSON file")
     p_verify.add_argument("--fixture", choices=sorted(fixtures.FIXTURES),
@@ -100,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fixtures = sub.add_parser("fixtures", help="fixture registry")
     fix_sub = p_fixtures.add_subparsers(dest="fixtures_command", required=True)
-    fix_sub.add_parser("list", help="list available fixtures as JSON")
+    fix_sub.add_parser("list", help="list available fixtures as JSON").set_defaults(run=_cmd_fixtures)
 
     return parser
 
@@ -195,37 +210,12 @@ def _cmd_fixtures(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "approximate":
-            return _cmd_approximate(args)
-        if args.command == "query":
-            return _cmd_query(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "fixtures":
-            return _cmd_fixtures(args)
-        parser.error(f"unknown command {args.command!r}")
-    except EpsilonRangeError as exc:
+        return args.run(args)
+    except tuple(kind for kind, _ in EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EPSILON
-    except GridCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GRID_CAP
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except TooLargeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TOO_LARGE
-    except (InvalidInstanceError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except ParamGridError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return EXIT_OK
+        return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

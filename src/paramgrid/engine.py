@@ -75,7 +75,7 @@ def default_oracle(instance: ProblemInstance) -> Oracle:
     if isinstance(payload, KnapsackData):
         return Oracle(fn=knapsack_solve, alpha=Fraction(1), name="knapsack-dp")
     if isinstance(payload, IndependenceSystem):
-        return Oracle(fn=greedy_solve, alpha=instance.alpha, name="greedy")
+        return Oracle(fn=greedy_solve, alpha=payload.declared_alpha, name="greedy")
     raise InvalidInstanceError(f"no default oracle for {type(payload).__name__}")
 
 
@@ -96,21 +96,29 @@ def rational_sqrt_down(x: RationalLike) -> Fraction:
 class ApproximationSet:
     """Output of a grid run: per-cell solutions plus the run's geometry.
 
-    ``oracle_calls`` counts the calls the run made; it is not part of the
-    set itself, so it is left out of set files and of equality, and a loaded
-    set reports 0.
+    ``spec`` owns the geometry; ``eps`` and ``c`` read it.  ``oracle_calls``
+    counts the calls the run made; it is not part of the set itself, so it is
+    left out of set files and of equality, and a loaded set reports 0.
     """
 
     requested_eps: Fraction
-    eps: Fraction
     alpha: Fraction
-    c: Fraction
     spec: GridSpec
     sense: Sense
     entries: dict[GridIndex, SolutionRecord]
     solutions: tuple[SolutionRecord, ...]
     oracle_name: str = ""
     oracle_calls: int = field(default=0, compare=False)
+
+    @property
+    def eps(self) -> Fraction:
+        """The grid's accuracy: the requested one, or the delta split for families."""
+        return self.spec.eps
+
+    @property
+    def c(self) -> Fraction:
+        """Negligibility threshold of the cone lift."""
+        return self.spec.c
 
     @property
     def guarantee(self) -> Fraction:
@@ -205,9 +213,7 @@ def approximate(
 
     return ApproximationSet(
         requested_eps=requested,
-        eps=run_eps,
         alpha=alpha,
-        c=c,
         spec=spec,
         sense=instance.sense,
         entries=entries,
@@ -234,7 +240,8 @@ def query(
     ints, D = _clear_denominators(vec + instance.lambda_min)
     K = instance.K
     offsets = [v - lm for v, lm in zip(ints[:K], ints[K:])]
-    c = aset.c
+    spec = aset.spec
+    c = spec.c
     _, w, _ = lift_integer_weight([D, *offsets], c.numerator, c.denominator)
-    idx = tuple(aset.spec.floor_exponent(k, w[k + 1], w[0]) for k in range(K))
+    idx = tuple(spec.floor_exponent(k, w[k + 1], w[0]) for k in range(K))
     return aset.entries[idx]

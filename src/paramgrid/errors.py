@@ -45,7 +45,3 @@ class OracleError(ParamGridError):
         super().__init__(f"oracle failed at lambda={lam}: {cause}")
         self.lam = lam
         self.cause = cause
-
-
-class VerificationFailure(ParamGridError):
-    """Raised by the CLI layer when a verification run does not pass."""

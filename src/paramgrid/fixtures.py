@@ -73,10 +73,10 @@ def _explicit(name: str, F: Sequence[Fraction]) -> SolutionRecord:
     return SolutionRecord(encoding=("explicit", name), F=tuple(F))
 
 
-def _simplex_weights(rng: random.Random, dim: int, count: int, denominator: int = 720) -> list[Weight]:
+def _simplex_weights(rng: random.Random, dim: int, count: int) -> list[Weight]:
     out = []
     while len(out) < count:
-        raw = [Fraction(rng.randrange(denominator + 1)) for _ in range(dim)]
+        raw = [Fraction(rng.randrange(721)) for _ in range(dim)]
         total = sum(raw, ZERO)
         if total == 0:
             continue

@@ -124,7 +124,7 @@ class ProblemInstance:
     """A linear K-parametric problem together with its certified bounds.
 
     ``LB``/``UB`` satisfy the containment F_i(x) in {0} or [LB, UB] for every
-    feasible x; ``alpha`` is the guarantee of the instance's default solver.
+    feasible x.  The solver's guarantee belongs to the solver: see ``Oracle``.
     """
 
     sense: Sense
@@ -132,7 +132,6 @@ class ProblemInstance:
     lambda_min: Lambda
     LB: Fraction
     UB: Fraction
-    alpha: Fraction
     payload: object
 
     def __post_init__(self):
@@ -142,8 +141,6 @@ class ProblemInstance:
             raise InvalidInstanceError("lambda_min length must equal K")
         if not (0 < self.LB <= self.UB):
             raise InvalidInstanceError("bounds must satisfy 0 < LB <= UB")
-        if self.alpha < 1:
-            raise InvalidInstanceError("alpha must be >= 1")
 
 
 def check_lambda(instance: ProblemInstance, lam: Sequence[RationalLike]) -> Lambda:
@@ -275,7 +272,6 @@ def explicit_instance(
     sense: Sense = Sense.MIN,
     K: int | None = None,
     lambda_min: Sequence[RationalLike] | None = None,
-    alpha: RationalLike = 1,
 ) -> ProblemInstance:
     """Build an instance from enumerated component vectors.
 
@@ -296,7 +292,6 @@ def explicit_instance(
         lambda_min=lm,
         LB=lb,
         UB=ub,
-        alpha=as_fraction(alpha),
         payload=payload,
     )
 
@@ -306,7 +301,6 @@ def structured_instance(
     sense: Sense,
     *,
     lambda_min: Sequence[RationalLike] | None = None,
-    alpha: RationalLike = 1,
 ) -> ProblemInstance:
     lm = (
         as_vector(lambda_min, payload.K)
@@ -320,7 +314,6 @@ def structured_instance(
         lambda_min=lm,
         LB=lb,
         UB=ub,
-        alpha=as_fraction(alpha),
         payload=payload,
     )
 

@@ -15,7 +15,7 @@ from itertools import combinations, islice
 from typing import Sequence
 
 from .errors import DomainError, InvalidInstanceError, TooLargeError
-from .grid import GridSpec, _float_log, compact_box, grid_points
+from .grid import GridSpec, _float_log, compact_box
 from .model import (
     ExplicitList,
     Lambda,
@@ -149,8 +149,8 @@ class ExhaustiveOracle:
         return self._scan.best(weight_from_lambda(vec, self.instance.lambda_min))
 
 
-def _fraction_in(rng: random.Random, lo: Fraction, hi: Fraction, denominator: int = 4096) -> Fraction:
-    t = Fraction(rng.randrange(denominator + 1), denominator)
+def _fraction_in(rng: random.Random, lo: Fraction, hi: Fraction) -> Fraction:
+    t = Fraction(rng.randrange(65), 64)
     return lo + (hi - lo) * t
 
 
@@ -182,7 +182,7 @@ def sample_parameters_labeled(
     budget = n - len(out)
     if budget > 0:
         if spec.size <= max(budget // 2, 1):
-            picks = [idx for idx, _ in grid_points(spec)]
+            picks = list(spec.indices())
         else:
             count = max(budget // 3, 1)
             picks = [
@@ -201,7 +201,7 @@ def sample_parameters_labeled(
         if rng.random() < 0.5:
             idx = tuple(rng.randint(spec.lb, cell_top) for _ in range(spec.K))
             lam = tuple(
-                lm[k] + spec.base ** idx[k] * (1 + _fraction_in(rng, ZERO, spec.base - 1, 64))
+                lm[k] + spec.powers[idx[k] - spec.lb] * (1 + _fraction_in(rng, ZERO, spec.base - 1))
                 for k in range(spec.K)
             )
             out.append(("cell-interior", lam))

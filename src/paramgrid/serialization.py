@@ -127,9 +127,10 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
                 (_int(_require(el, "a"), "a"), _int_vector(_require(el, "b"), K, "b"))
             )
         n = len(elements)
-        generators = _require(doc, "independent_sets")
-        if not isinstance(generators, list):
-            raise InvalidInstanceError("independent_sets must be a list of element lists")
+        generators = [
+            [_int(e, "independent set member") for e in _list(g, "an independent set")]
+            for g in _list(_require(doc, "independent_sets"), "independent_sets")
+        ]
         alpha = parse_frac(doc.get("alpha", 1))
         system = from_generators(n, generators, elements, K, declared_alpha=alpha)
         return independence_instance(system, lambda_min=lambda_min)
@@ -139,13 +140,20 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
     )
 
 
-def load_instance(path: str) -> ProblemInstance:
+def _read_json(path: str) -> Any:
+    """The JSON document at ``path``; a file that is not UTF-8 JSON is invalid.
+
+    ``OSError`` (a missing file, a directory) passes through unchanged.
+    """
     with open(path, encoding="utf-8") as handle:
         try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as exc:
+            return json.load(handle)
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise InvalidInstanceError(f"invalid JSON in {path}: {exc}") from exc
-    return instance_from_dict(doc)
+
+
+def load_instance(path: str) -> ProblemInstance:
+    return instance_from_dict(_read_json(path))
 
 
 def _encoding_to_json(encoding: tuple) -> dict:
@@ -234,6 +242,11 @@ def approximation_set_from_dict(doc: dict) -> ApproximationSet:
             raise InvalidInstanceError(
                 f"a cell refers to {ref!r}, not one of the {len(solutions)} solutions"
             )
+    # approximate lists only referenced solutions, and verify checks the whole pool
+    if len(set(cells)) != len(solutions):
+        raise InvalidInstanceError(
+            f"cells refer to {len(set(cells))} of the {len(solutions)} solutions"
+        )
     oracle_name = doc.get("oracle", "")
     if not isinstance(oracle_name, str):
         raise InvalidInstanceError(f"oracle must be a string, got {oracle_name!r}")
@@ -245,9 +258,7 @@ def approximation_set_from_dict(doc: dict) -> ApproximationSet:
         raise InvalidInstanceError(f"requested_epsilon must lie in (0, 1), got {requested_eps}")
     return ApproximationSet(
         requested_eps=requested_eps,
-        eps=eps,
         alpha=alpha,
-        c=c,
         spec=spec,
         sense=Sense.parse(_require(doc, "sense")),
         entries=dict(zip(spec.indices(), map(solutions.__getitem__, cells))),
@@ -264,12 +275,7 @@ def save_approximation_set(aset: ApproximationSet, path: str):
 
 
 def load_approximation_set(path: str) -> ApproximationSet:
-    with open(path, encoding="utf-8") as handle:
-        try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise InvalidInstanceError(f"invalid JSON in {path}: {exc}") from exc
-    return approximation_set_from_dict(doc)
+    return approximation_set_from_dict(_read_json(path))
 
 
 def run_report(aset: ApproximationSet, wall_time_ms: int) -> dict:

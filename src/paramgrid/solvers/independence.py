@@ -7,7 +7,7 @@ ratio of upper to lower rank over element subsets.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from fractions import Fraction
@@ -43,7 +43,6 @@ class IndependenceSystem:
     elements: tuple[tuple[int, tuple[int, ...]], ...]
     K: int
     declared_alpha: Fraction
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.elements) != self.n:
@@ -60,12 +59,7 @@ class IndependenceSystem:
         return iter(self.elements)
 
     def independent(self, subset: Iterable[int]) -> bool:
-        key = frozenset(subset)
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = bool(self.member(key))
-            self._cache[key] = hit
-        return hit
+        return bool(self.member(frozenset(subset)))
 
 
 def from_generators(
@@ -96,9 +90,7 @@ def from_generators(
 def independence_instance(
     system: IndependenceSystem, *, lambda_min: Sequence[RationalLike] | None = None
 ) -> ProblemInstance:
-    return structured_instance(
-        system, Sense.MAX, lambda_min=lambda_min, alpha=system.declared_alpha
-    )
+    return structured_instance(system, Sense.MAX, lambda_min=lambda_min)
 
 
 def greedy_solve(instance: ProblemInstance, lam: Sequence[RationalLike]) -> SolutionRecord:

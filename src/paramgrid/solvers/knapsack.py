@@ -67,7 +67,7 @@ def knapsack_data(
 def knapsack_instance(
     data: KnapsackData, *, lambda_min: Sequence[RationalLike] | None = None
 ) -> ProblemInstance:
-    return structured_instance(data, Sense.MAX, lambda_min=lambda_min, alpha=1)
+    return structured_instance(data, Sense.MAX, lambda_min=lambda_min)
 
 
 def _profits(instance: ProblemInstance, lam) -> list[int]:

@@ -83,7 +83,7 @@ def cut_graph(
 def mincut_instance(
     graph: CutGraph, *, lambda_min: Sequence[RationalLike] | None = None
 ) -> ProblemInstance:
-    return structured_instance(graph, Sense.MIN, lambda_min=lambda_min, alpha=1)
+    return structured_instance(graph, Sense.MIN, lambda_min=lambda_min)
 
 
 class _Dinic:

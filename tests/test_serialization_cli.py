@@ -1,4 +1,6 @@
+import copy
 import json
+import random
 from fractions import Fraction as F
 from functools import cache
 
@@ -75,7 +77,7 @@ class TestInstanceParsing:
 
     def test_independence(self):
         inst = instance_from_dict(TOY_INDEPENDENCE)
-        assert inst.alpha == F(2)
+        assert inst.payload.declared_alpha == F(2)
         assert inst.payload.independent({0, 2})
         assert not inst.payload.independent({0, 1})
 
@@ -98,9 +100,12 @@ class TestInstanceParsing:
             {**TOY_EXPLICIT, "solutions": 5},
             {**TOY_EXPLICIT, "solutions": [{"id": "x", "F": "12"}]},
             {**TOY_EXPLICIT, "sense": 5},
+            {**TOY_INDEPENDENCE, "independent_sets": [5]},
+            {**TOY_INDEPENDENCE, "independent_sets": [[0, "x"]]},
         ],
         ids=["items-not-list", "arcs-not-list", "elements-not-list",
-             "solutions-not-list", "F-is-string", "sense-not-string"],
+             "solutions-not-list", "F-is-string", "sense-not-string",
+             "independent-set-not-list", "independent-set-member-not-int"],
     )
     def test_non_list_field_refused(self, tmp_path, capsys, doc):
         with pytest.raises(InvalidInstanceError):
@@ -336,6 +341,37 @@ class TestCli:
         assert sets[0] == sets[1]
 
 
+def assert_one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+class TestUnreadableFiles:
+    """Paths that cannot be read or written, and files that are not UTF-8 JSON, exit 2."""
+
+    def test_directory_as_set_file(self, tmp_path, capsys):
+        inst_path = write(tmp_path, "inst.json", TOY_KNAPSACK)
+        assert main(["query", str(tmp_path), inst_path, "--lam", "1"]) == 2
+        assert_one_error_line(capsys)
+
+    def test_directory_as_output(self, tmp_path, capsys):
+        inst_path = write(tmp_path, "inst.json", TOY_KNAPSACK)
+        assert main(["approximate", inst_path, "--epsilon", "1/2", "--out", str(tmp_path)]) == 2
+        assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize(
+        "content",
+        [random.Random(0).randbytes(1024), b"[" * 200_000],
+        ids=["not-utf8", "nested-200000-deep"],
+    )
+    def test_unparsable_set_file(self, tmp_path, capsys, content):
+        inst_path = write(tmp_path, "inst.json", TOY_KNAPSACK)
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        assert main(["query", str(bad), inst_path, "--lam", "1"]) == 2
+        assert_one_error_line(capsys)
+
+
 def fitted_set(tmp_path, capsys):
     inst_path = write(tmp_path, "inst.json", TOY_KNAPSACK)
     set_path = str(tmp_path / "set.json")
@@ -356,6 +392,13 @@ def _refer(ref):
 
 def _extra_component(doc):
     doc["solutions"][0]["F"].append("1")
+
+
+def _unreferenced_originals(doc):
+    # every cell names an empty solution; verify, which checks the whole
+    # pool, would pass the set on its unreferenced optimal originals
+    doc["solutions"].append({"encoding": {"kind": "items", "members": []}, "F": ["0", "0"]})
+    doc["cells"] = [len(doc["solutions"]) - 1] * len(doc["cells"])
 
 
 def _put(*path):
@@ -401,6 +444,7 @@ class TestSetFileChecks:
             _put("oracle", [1, 2]),
             _put("alpha", "-1"),
             _put("requested_epsilon", "7"),
+            _unreferenced_originals,
         ],
         ids=[
             "missing-entry",
@@ -428,6 +472,7 @@ class TestSetFileChecks:
             "oracle-not-string",
             "alpha-below-one",
             "requested-epsilon-outside-unit-interval",
+            "unreferenced-solutions",
         ],
     )
     def test_corrupt_set_refused(self, tmp_path, capsys, corrupt):
@@ -490,6 +535,15 @@ def _json_type(value) -> type:
     return type(None) if value is None else type(value)
 
 
+def _retype(doc, path, value) -> None:
+    """Put ``value`` at ``path`` of ``doc``; examples that keep the field's JSON type are skipped."""
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    assume(_json_type(value) is not _json_type(parent[path[-1]]))
+    parent[path[-1]] = value
+
+
 FIELD_PATHS = _field_paths(json.loads(_saved_toy_set()))
 JSON_VALUES = st.one_of(
     st.integers(min_value=-10**6, max_value=10**6),
@@ -505,14 +559,31 @@ JSON_VALUES = st.one_of(
 def test_retyped_field_loads_or_is_refused(path, value):
     """A field of a saved set given another JSON type is loaded or refused, never a crash."""
     doc = json.loads(_saved_toy_set())
-    parent = doc
-    for key in path[:-1]:
-        parent = parent[key]
-    assume(_json_type(value) is not _json_type(parent[path[-1]]))
-    parent[path[-1]] = value
+    _retype(doc, path, value)
     try:
         aset = approximation_set_from_dict(doc)
     except ParamGridError:
         return
     # whatever loads must save again
     approximation_set_to_dict(aset)
+
+
+INSTANCE_DOCS = {
+    "explicit": TOY_EXPLICIT,
+    "knapsack": TOY_KNAPSACK,
+    "mincut": TOY_MINCUT,
+    "independence": TOY_INDEPENDENCE,
+}
+
+
+@pytest.mark.parametrize("family", sorted(INSTANCE_DOCS))
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_retyped_instance_field_parses_or_is_refused(family, data):
+    """An instance field given another JSON type is parsed or refused, never a crash."""
+    doc = copy.deepcopy(INSTANCE_DOCS[family])
+    _retype(doc, data.draw(st.sampled_from(_field_paths(doc))), data.draw(JSON_VALUES))
+    try:
+        instance_from_dict(doc)
+    except ParamGridError:
+        pass

@@ -63,7 +63,7 @@ class TestMinCut:
     def test_negative_cost_reported_as_rational(self):
         # built directly: the factories refuse a lambda_min this small
         graph = cut_graph(2, [(0, 1, 0, (2,))], 0, 1, 1)
-        inst = ProblemInstance(Sense.MIN, 1, (F(-1, 3),), F(1), F(1), F(1), graph)
+        inst = ProblemInstance(Sense.MIN, 1, (F(-1, 3),), F(1), F(1), graph)
         with pytest.raises(DomainError, match="arc cost -2/3 negative"):
             min_cut_solve(inst, [F(-1, 3)])
 

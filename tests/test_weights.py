@@ -277,9 +277,9 @@ class TestIntegerLift:
         lam, lambda_min = point
         K = len(lam)
         spec = make_spec(c, K, F(1, 2), lambda_min)
-        instance = ProblemInstance(Sense.MIN, K, lambda_min, ONE, ONE, ONE, payload=None)
+        instance = ProblemInstance(Sense.MIN, K, lambda_min, ONE, ONE, payload=None)
         aset = ApproximationSet(
-            requested_eps=spec.eps, eps=spec.eps, alpha=ONE, c=c, spec=spec,
+            requested_eps=spec.eps, alpha=ONE, spec=spec,
             sense=Sense.MIN, entries=CellEcho(), solutions=(),
         )
         ref = fraction_lift(weight_from_lambda(lam, lambda_min), c)
