@@ -54,7 +54,6 @@ from .oracle import (
 )
 from .weights import (
     LiftCertificate,
-    in_cone,
     lambda_from_weight,
     lift_to_cone,
     threshold,
@@ -96,7 +95,6 @@ __all__ = [
     "explicit_instance",
     "grid_bounds",
     "grid_points",
-    "in_cone",
     "lambda_from_weight",
     "lift_to_cone",
     "make_spec",

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import isqrt
 from typing import Callable, Sequence
 
 from .errors import EpsilonRangeError, GridCapError, InvalidInstanceError, OracleError
@@ -79,19 +78,6 @@ def default_oracle(instance: ProblemInstance) -> Oracle:
     raise InvalidInstanceError(f"no default oracle for {type(payload).__name__}")
 
 
-#: Denominator scale of ``rational_sqrt_down``: the root is floored to a multiple of 1/(q * M).
-SQRT_PRECISION = 10**12
-
-
-def rational_sqrt_down(x: RationalLike) -> Fraction:
-    """Largest convenient rational r with r*r <= x; exact on rational squares."""
-    v = as_fraction(x)
-    if v < 0:
-        raise InvalidInstanceError("square root of a negative rational")
-    scaled = isqrt(v.numerator * v.denominator * SQRT_PRECISION**2)
-    return Fraction(scaled, v.denominator * SQRT_PRECISION)
-
-
 @dataclass
 class ApproximationSet:
     """Output of a grid run: per-cell solutions plus the run's geometry.
@@ -143,9 +129,10 @@ def approximate(
     per point, as a full-grid loop would.
 
     With a fixed oracle the guarantee is (1 + eps) * alpha.  With an
-    accuracy-indexed family the run is split at delta = sqrt(1 + eps) - 1:
-    the family is instantiated at guarantee 1 + delta and the grid is built
-    for delta, giving (1 + delta)^2 <= 1 + eps overall.
+    accuracy-indexed family the run is split at delta = 2 * eps / (4 + eps),
+    just below sqrt(1 + eps) - 1: the family is instantiated at guarantee
+    1 + delta and the grid is built for delta, giving (1 + delta)^2 <= 1 + eps
+    overall.
     """
     requested = as_fraction(eps)
     if not (0 < requested < 1):
@@ -153,9 +140,8 @@ def approximate(
     if oracle is None:
         oracle = default_oracle(instance)
     if isinstance(oracle, OracleFamily):
-        # strictly positive for every requested eps > 0: the floored root of
-        # p/q > 1 at precision M = SQRT_PRECISION exceeds 1 whenever p - q >= 1 > 2/M
-        delta = rational_sqrt_down(1 + requested) - 1
+        # (1 + delta)^2 = 1 + eps - eps^3 / (4 + eps)^2 <= 1 + eps
+        delta = 2 * requested / (4 + requested)
         oracle = oracle.make(delta)
         run_eps = delta
     else:

@@ -352,8 +352,8 @@ def minimum_cover_size(
     if len(records) > MAX_COVER_SOLUTIONS:
         raise TooLargeError(f"cover search needs at most {MAX_COVER_SOLUTIONS} solutions")
     lams = [check_lambda(instance, lam) for lam in samples]
-    scan = _ScanState(records, instance.sense)
-    optima = [scan.best(weight_from_lambda(lam, instance.lambda_min))[1] for lam in lams]
+    exact = ExhaustiveOracle(instance)
+    optima = [exact.optimum(lam)[1] for lam in lams]
 
     covers = []
     for rec in records:

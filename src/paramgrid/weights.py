@@ -61,18 +61,6 @@ def _first_below(values: Sequence[int], p: int, q: int) -> tuple[int, int] | Non
     return None
 
 
-def in_cone(w: Sequence[RationalLike], c: RationalLike) -> bool:
-    """Membership in the irreducible cone.
-
-    Only the prefix groups of the ascending component order can be below
-    threshold (any qualifying group consists of strictly smaller components
-    than everything outside it), so K prefix checks decide membership.
-    """
-    ints, _ = _clear_denominators(check_weight(w))
-    cc = as_fraction(c)
-    return _first_below(sorted(ints), cc.numerator, cc.denominator) is None
-
-
 def lift_integer_weight(
     w: Sequence[int], p: int, q: int
 ) -> tuple[list[int], list[int], list[tuple[int, int, int, tuple[int, ...]]]]:

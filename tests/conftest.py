@@ -4,10 +4,11 @@ The reference helpers here deliberately avoid the library's optimized code
 paths: cone membership enumerates every index subset, optima come from full
 enumeration with Fraction arithmetic, and expected values in tests are frozen
 from these oracles, not from the code under test.  The paper's cone-boundary
-tests, its single lifting step and the convex-combination reconstruction of a
-lift certificate live here too: the library's lift never calls them, and the
-tests check it against them.  ``fraction_lift`` runs the same lift step by
-step on Fractions, the reference for the library's integer lift.
+tests, prefix-rule cone membership, its single lifting step and the
+convex-combination reconstruction of a lift certificate live here too: the
+library's lift never calls them, and the tests check it against them.
+``fraction_lift`` runs the same lift step by step on Fractions, the reference
+for the library's integer lift.
 """
 from __future__ import annotations
 
@@ -110,6 +111,16 @@ def _fraction_first_below(values: Sequence[Fraction], c: Fraction):
         if prefix < c * values[k + 1]:
             return k, prefix
     return None
+
+
+def in_cone(w, c) -> bool:
+    """Membership in the irreducible cone.
+
+    Only the prefix groups of the ascending component order can be below
+    threshold (any qualifying group consists of strictly smaller components
+    than everything outside it), so K prefix checks decide membership.
+    """
+    return _fraction_first_below(sorted(check_weight(w)), as_fraction(c)) is None
 
 
 def fraction_lift(w, c) -> LiftCertificate:

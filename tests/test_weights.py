@@ -12,7 +12,6 @@ from paramgrid import (
     Sense,
     SolutionRecord,
     augmented_evaluate,
-    in_cone,
     lambda_from_weight,
     lift_to_cone,
     make_spec,
@@ -29,6 +28,7 @@ from conftest import (
     cone_member_exhaustive,
     fraction_lift,
     hull_coefficients,
+    in_cone,
     lift_once,
     optimum_by_enumeration_weight,
     random_explicit,
