@@ -28,7 +28,7 @@ from .errors import (
     SnapRangeError,
     TooLargeError,
 )
-from .grid import GridSpec, grid_bounds, grid_points, make_spec, snap
+from .grid import GridSpec, grid_points, snap
 from .model import (
     ExplicitList,
     ProblemInstance,
@@ -47,7 +47,6 @@ from .oracle import (
     VerificationReport,
     enumerate_solutions,
     minimum_cover_size,
-    pareto_prune,
     sample_parameters_labeled,
     verify_approximation_set,
     verify_on_weights,
@@ -93,13 +92,10 @@ __all__ = [
     "enumerate_solutions",
     "evaluate",
     "explicit_instance",
-    "grid_bounds",
     "grid_points",
     "lambda_from_weight",
     "lift_to_cone",
-    "make_spec",
     "minimum_cover_size",
-    "pareto_prune",
     "query",
     "sample_parameters_labeled",
     "snap",

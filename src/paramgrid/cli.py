@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -30,7 +31,7 @@ from .errors import (
     ParamGridError,
     TooLargeError,
 )
-from .grid import DEFAULT_GRID_CAP, snap
+from .grid import snap
 from .model import evaluate
 
 EXIT_OK = 0
@@ -84,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="accuracy parameter in (0,1), e.g. 1/2")
     p_approx.add_argument("--out", required=True, help="output path for the approximation set")
     p_approx.add_argument("--report", help="optional output path for the run report")
-    p_approx.add_argument("--grid-cap", type=int, default=DEFAULT_GRID_CAP,
+    p_approx.add_argument("--grid-cap", type=int, default=engine.DEFAULT_GRID_CAP,
                           help="refuse grids larger than this many points")
 
     p_query = sub.add_parser("query", help="look up the solution for a parameter vector")
@@ -128,7 +129,18 @@ def _emit(doc: dict, path: str | None):
             handle.write(text)
 
 
+def _check_output(path: str) -> None:
+    """Refuse an output path that cannot be a file, before any work is done."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(f"output path {path!r} is a directory")
+    if not path or not os.path.isdir(os.path.dirname(path) or "."):
+        raise FileNotFoundError(f"output path {path!r} is not in an existing directory")
+
+
 def _cmd_approximate(args) -> int:
+    _check_output(args.out)
+    if args.report:  # an empty --report writes no report
+        _check_output(args.report)
     instance = serialization.load_instance(args.instance)
     started = time.monotonic()
     aset = engine.approximate(instance, args.epsilon, grid_cap=args.grid_cap)

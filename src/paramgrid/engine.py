@@ -18,7 +18,7 @@ from itertools import product
 from typing import Callable, Sequence
 
 from .errors import EpsilonRangeError, GridCapError, InvalidInstanceError, OracleError
-from .grid import DEFAULT_GRID_CAP, GridIndex, GridSpec, make_spec
+from .grid import GridIndex, GridSpec
 from .model import (
     ExplicitList,
     Lambda,
@@ -33,6 +33,9 @@ from .model import (
 from .weights import lift_integer_weight, threshold
 
 OracleFn = Callable[[ProblemInstance, Lambda], SolutionRecord]
+
+#: Default refusal threshold of ``approximate`` for the grid size.
+DEFAULT_GRID_CAP = 10**8
 
 
 @dataclass(frozen=True)
@@ -151,7 +154,7 @@ def approximate(
     eps_prime = run_eps / 2
     beta = (1 + eps_prime) * alpha
     c = threshold(eps_prime, beta, instance.LB, instance.UB)
-    spec = make_spec(c, instance.K, run_eps, instance.lambda_min)
+    spec = GridSpec(c, instance.K, run_eps, instance.lambda_min)
 
     if spec.size > grid_cap:
         raise GridCapError(spec.size, grid_cap)

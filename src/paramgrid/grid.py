@@ -9,20 +9,17 @@ produces snaps into the grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from itertools import product
 from typing import Iterator, Sequence
 
-from .errors import DomainError, GridCapError, SnapRangeError
+from .errors import DomainError, SnapRangeError
 from .model import Lambda, RationalLike, as_fraction, as_vector
 
 #: Fractional parts closer than this to an integer trigger conservative widening.
 TIE_TOLERANCE = 1e-9
-
-#: Default refusal threshold for grid enumeration.
-DEFAULT_GRID_CAP = 10**8
 
 
 def _float_log(value: Fraction) -> float:
@@ -37,59 +34,57 @@ def compact_box(c: Fraction, K: int) -> tuple[Fraction, Fraction]:
     return small, 1 / small
 
 
-def grid_bounds(c: RationalLike, K: int, eps: RationalLike) -> tuple[int, int]:
-    """Exponent range bracketing the compact box, with conservative ties.
-
-    Float logarithms whose fractional part is within ``TIE_TOLERANCE`` of an
-    integer are widened by one outward; an exact rational check afterwards
-    guarantees base^lb <= c^K/(K+1)! and base^ub >= (K+1)!/c^K regardless of
-    float rounding.
-    """
-    cc = as_fraction(c)
-    ee = as_fraction(eps)
-    if not (0 < cc < 1):
-        raise DomainError(f"c must lie in (0,1), got {cc}")
-    if not (0 < ee < 1):
-        raise DomainError(f"eps must lie in (0,1), got {ee}")
-    base = 1 + ee / 2
-    small, big = compact_box(cc, K)
-    log_base = _float_log(base)
-
-    x = _float_log(small) / log_base
-    if abs(x - round(x)) < TIE_TOLERANCE:
-        lb = round(x) - 1
-    else:
-        lb = math.floor(x)
-    y = _float_log(big) / log_base
-    if abs(y - round(y)) < TIE_TOLERANCE:
-        ub = round(y) + 1
-    else:
-        ub = math.ceil(y)
-
-    while base**lb > small:
-        lb -= 1
-    while base**ub < big:
-        ub += 1
-    return lb, ub
-
-
 @dataclass(frozen=True)
 class GridSpec:
-    """Frozen description of one grid: base, exponent range and anchor."""
+    """The grid of accuracy eps for threshold c, K parameters and anchor lambda_min.
 
-    eps: Fraction
-    base: Fraction
-    lb: int
-    ub: int
-    lambda_min: Lambda
-    K: int
+    The four init fields take ints, 'p/q' strings or Fractions (any sequence
+    for ``lambda_min``); ``base`` = 1 + eps/2 and the exponent range
+    [lb, ub] follow from them.  Float logarithms whose fractional part is
+    within ``TIE_TOLERANCE`` of an integer are widened by one outward; an
+    exact rational check afterwards guarantees base^lb <= c^K/(K+1)! and
+    base^ub >= (K+1)!/c^K regardless of float rounding.  As c^K/(K+1)! < 1/2,
+    every grid has lb <= -1 and ub >= 1.
+    """
+
     c: Fraction
+    K: int
+    eps: Fraction
+    lambda_min: Lambda
+    base: Fraction = field(init=False)
+    lb: int = field(init=False)
+    ub: int = field(init=False)
 
     def __post_init__(self):
-        if self.lb > self.ub:
-            raise DomainError("lb must not exceed ub")
-        if self.base <= 1:
-            raise DomainError("base must exceed 1")
+        cc = as_fraction(self.c)
+        ee = as_fraction(self.eps)
+        if not (0 < cc < 1):
+            raise DomainError(f"c must lie in (0,1), got {cc}")
+        if not (0 < ee < 1):
+            raise DomainError(f"eps must lie in (0,1), got {ee}")
+        base = 1 + ee / 2
+        small, big = compact_box(cc, self.K)
+        log_base = _float_log(base)
+
+        x = _float_log(small) / log_base
+        if abs(x - round(x)) < TIE_TOLERANCE:
+            lb = round(x) - 1
+        else:
+            lb = math.floor(x)
+        y = _float_log(big) / log_base
+        if abs(y - round(y)) < TIE_TOLERANCE:
+            ub = round(y) + 1
+        else:
+            ub = math.ceil(y)
+
+        while base**lb > small:
+            lb -= 1
+        while base**ub < big:
+            ub += 1
+        lambda_min = as_vector(self.lambda_min, self.K)
+        derived = dict(c=cc, eps=ee, lambda_min=lambda_min, base=base, lb=lb, ub=ub)
+        for name, value in derived.items():  # the dataclass is frozen
+            object.__setattr__(self, name, value)
 
     @property
     def span(self) -> int:
@@ -151,33 +146,11 @@ class GridSpec:
         return tuple(lm + powers[i - self.lb] for lm, i in zip(self.lambda_min, idx))
 
 
-def make_spec(
-    c: RationalLike,
-    K: int,
-    eps: RationalLike,
-    lambda_min: Sequence[RationalLike],
-) -> GridSpec:
-    cc = as_fraction(c)
-    ee = as_fraction(eps)
-    lb, ub = grid_bounds(cc, K, ee)
-    return GridSpec(
-        eps=ee,
-        base=1 + ee / 2,
-        lb=lb,
-        ub=ub,
-        lambda_min=as_vector(lambda_min, K),
-        K=K,
-        c=cc,
-    )
-
-
 GridIndex = tuple[int, ...]
 
 
-def grid_points(spec: GridSpec, cap: int = DEFAULT_GRID_CAP) -> Iterator[tuple[GridIndex, Lambda]]:
+def grid_points(spec: GridSpec) -> Iterator[tuple[GridIndex, Lambda]]:
     """Stream (index, parameter vector) pairs in lexicographic index order."""
-    if spec.size > cap:
-        raise GridCapError(spec.size, cap)
     for idx in spec.indices():
         yield idx, spec.point(idx)
 

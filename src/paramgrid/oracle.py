@@ -77,30 +77,8 @@ def enumerate_solutions(instance: ProblemInstance) -> tuple[SolutionRecord, ...]
     return tuple(records)
 
 
-def pareto_prune(records: Sequence[SolutionRecord], sense: Sense) -> tuple[SolutionRecord, ...]:
-    """Drop solutions that are componentwise dominated for the given sense.
-
-    Safe for optimum queries: a nonnegative weighting always attains its
-    optimum on the undominated set.
-    """
-    better = (lambda x, y: all(a <= b for a, b in zip(x, y))) if sense is Sense.MIN else (
-        lambda x, y: all(a >= b for a, b in zip(x, y))
-    )
-    kept: list[SolutionRecord] = []
-    seen: set[tuple] = set()
-    key = (lambda r: r.F) if sense is Sense.MIN else (lambda r: tuple(-v for v in r.F))
-    for rec in sorted(records, key=key):
-        if rec.F in seen:
-            continue
-        if any(better(other.F, rec.F) for other in kept):
-            continue
-        seen.add(rec.F)
-        kept.append(rec)
-    return tuple(kept)
-
-
 class _ScanState:
-    """Integerized objective scan over a fixed record list.
+    """Integerized objective scan over a record list.
 
     ``best`` takes a weight vector of length K+1; parameter-space callers
     pass ``(1, lambda - lambda_min)``.  Ties go to the earliest record.
@@ -114,6 +92,22 @@ class _ScanState:
         flat, self.scale = _clear_denominators([v for rec in self.records for v in rec.F])
         rest = iter(flat)
         self.F_int = [tuple(islice(rest, len(rec.F))) for rec in self.records]
+
+    def prune(self) -> None:
+        """Drop every record whose row some kept row matches or beats in each component.
+
+        Rows are visited sorted by their sign-adjusted value (negated for
+        maximization), so of equal rows the earliest stays.  Safe for
+        optimum queries: a nonnegative weighting attains its optimum on the
+        kept rows.
+        """
+        sign = 1 if self.pick is min else -1
+        kept: list[tuple[tuple[int, ...], int]] = []
+        for row, i in sorted((tuple(sign * v for v in row), i) for i, row in enumerate(self.F_int)):
+            if not any(all(map(operator.le, other, row)) for other, _ in kept):
+                kept.append((row, i))
+        self.records = tuple(self.records[i] for _, i in kept)
+        self.F_int = [self.F_int[i] for _, i in kept]
 
     def best(self, weights: Sequence[Fraction]) -> tuple[SolutionRecord, Fraction]:
         mult, q = _clear_denominators(weights)
@@ -137,8 +131,8 @@ class ExhaustiveOracle:
     _scan: _ScanState = field(init=False, repr=False)
 
     def __post_init__(self):
-        pruned = pareto_prune(enumerate_solutions(self.instance), self.instance.sense)
-        self._scan = _ScanState(pruned, self.instance.sense)
+        self._scan = _ScanState(enumerate_solutions(self.instance), self.instance.sense)
+        self._scan.prune()
 
     def __call__(self, instance: ProblemInstance, lam: Sequence[RationalLike]) -> SolutionRecord:
         return self.optimum(lam)[0]
@@ -181,7 +175,7 @@ def sample_parameters_labeled(
 
     budget = n - len(out)
     if budget > 0:
-        if spec.size <= max(budget // 2, 1):
+        if spec.size <= budget // 2:
             picks = list(spec.indices())
         else:
             count = max(budget // 3, 1)
@@ -196,10 +190,9 @@ def sample_parameters_labeled(
 
     box_lo, box_hi = compact_box(spec.c, spec.K)
     lo_log, hi_log = _float_log(box_lo), _float_log(box_hi)
-    cell_top = max(spec.ub - 1, spec.lb)
     while len(out) < n:
         if rng.random() < 0.5:
-            idx = tuple(rng.randint(spec.lb, cell_top) for _ in range(spec.K))
+            idx = tuple(rng.randint(spec.lb, spec.ub - 1) for _ in range(spec.K))
             lam = tuple(
                 lm[k] + spec.powers[idx[k] - spec.lb] * (1 + _fraction_in(rng, ZERO, spec.base - 1))
                 for k in range(spec.K)

@@ -12,7 +12,7 @@ from typing import Any
 
 from .engine import ApproximationSet
 from .errors import DomainError, InvalidInstanceError
-from .grid import make_spec
+from .grid import GridSpec
 from .model import ProblemInstance, Sense, SolutionRecord, explicit_instance
 from .solvers.independence import from_generators, independence_instance
 from .solvers.knapsack import knapsack_data, knapsack_instance
@@ -231,7 +231,7 @@ def approximation_set_from_dict(doc: dict) -> ApproximationSet:
     c = parse_frac(_require(doc, "c"))
     lambda_min = [parse_frac(v) for v in _list(_require(doc, "lambda_min"), "lambda_min")]
     try:
-        spec = make_spec(c, K, eps, lambda_min)
+        spec = GridSpec(c, K, eps, lambda_min)
     except DomainError as exc:  # c or epsilon outside (0, 1): the file is wrong, not the query
         raise InvalidInstanceError(f"bad grid geometry: {exc}") from exc
     cells = _list(_require(doc, "cells"), "cells")

@@ -3,8 +3,10 @@ from fractions import Fraction as F
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from paramgrid import DomainError, GridCapError, grid_bounds, grid_points, make_spec, snap
+from paramgrid import DomainError, InvalidInstanceError, grid_points, snap
 from paramgrid.errors import SnapRangeError
 from paramgrid.grid import GridSpec
 from paramgrid.model import ZERO
@@ -22,14 +24,19 @@ def reference_bounds(c, K, eps):
     return int(lb), int(ub)
 
 
+def bounds(c, K, eps):
+    spec = GridSpec(c, K, eps, (ZERO,) * K)
+    return spec.lb, spec.ub
+
+
 class TestGridBounds:
     def test_reference_case_k1(self):
         # log_{1.25}(0.1) ~ -10.319
-        assert grid_bounds(F(1, 5), 1, F(1, 2)) == (-11, 11)
+        assert bounds(F(1, 5), 1, F(1, 2)) == (-11, 11)
 
     def test_reference_case_k2(self):
         # log_{1.25}(1/24) ~ -14.24
-        assert grid_bounds(F(1, 2), 2, F(1, 2)) == (-15, 15)
+        assert bounds(F(1, 2), 2, F(1, 2)) == (-15, 15)
 
     def test_matches_high_precision_logs(self):
         rng = random.Random(3)
@@ -37,7 +44,7 @@ class TestGridBounds:
             K = rng.randint(1, 4)
             eps = F(rng.randint(1, 15), 16)
             c = F(rng.randint(1, 199), 200)
-            lb, ub = grid_bounds(c, K, eps)
+            lb, ub = bounds(c, K, eps)
             ref_lb, ref_ub = reference_bounds(c, K, eps)
             # Ties may widen by one; bracketing may never shrink.
             assert ref_lb - 1 <= lb <= ref_lb
@@ -50,74 +57,115 @@ class TestGridBounds:
         c = 2 * base**-4
         assert 0 < c < 1
         assert c / 2 == base**-4
-        assert grid_bounds(c, 1, F(1, 2)) == (-5, 5)
+        assert bounds(c, 1, F(1, 2)) == (-5, 5)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(DomainError):
-            grid_bounds(F(3, 2), 1, F(1, 2))
+            bounds(F(3, 2), 1, F(1, 2))
         with pytest.raises(DomainError):
-            grid_bounds(F(1, 2), 1, F(3, 2))
+            bounds(F(1, 2), 1, F(3, 2))
+
+
+rationals_in_unit = st.builds(
+    F, st.integers(1, 63), st.integers(2, 64)
+).filter(lambda v: v < 1)
+
+
+class TestDerivedGrid:
+    @settings(max_examples=150, deadline=None)
+    @given(c=rationals_in_unit, eps=rationals_in_unit, K=st.integers(1, 4))
+    def test_base_and_range_bracket_the_compact_box(self, c, eps, K):
+        spec = GridSpec(c, K, eps, (ZERO,) * K)
+        base, lb, ub = spec.base, spec.lb, spec.ub
+        small = c**K / factorial(K + 1)
+        assert base == 1 + eps / 2
+        # the range brackets the box, widened by at most one step at a tie
+        assert base**lb <= small < base ** (lb + 2)
+        assert base ** (ub - 2) < 1 / small <= base**ub
+
+    @settings(max_examples=50, deadline=None)
+    @given(c=rationals_in_unit, eps=rationals_in_unit, K=st.integers(1, 4), anchor=st.integers(0, 9))
+    def test_equal_for_every_input_spelling(self, c, eps, K, anchor):
+        spec = GridSpec(c, K, eps, (F(anchor),) * K)
+        spellings = [
+            GridSpec(str(c), K, str(eps), [anchor] * K),
+            GridSpec(c, K, eps, [str(anchor)] * K),
+            GridSpec(F(c), K, F(eps), tuple([anchor] * K)),
+        ]
+        for other in spellings:
+            assert other == spec
+            assert hash(other) == hash(spec)
+
+    @pytest.mark.parametrize("bad", [F(0), F(1), F(-1, 2), F(3, 2), 2])
+    def test_c_and_eps_outside_unit_interval(self, bad):
+        with pytest.raises(DomainError):
+            GridSpec(bad, 1, F(1, 2), (ZERO,))
+        with pytest.raises(DomainError):
+            GridSpec(F(1, 2), 1, bad, (ZERO,))
+
+    def test_lambda_min_of_wrong_length(self):
+        with pytest.raises(InvalidInstanceError):
+            GridSpec(F(1, 2), 2, F(1, 2), (ZERO,))
+
+    @pytest.mark.parametrize("name", ["base", "lb", "ub"])
+    def test_derived_fields_are_not_arguments(self, name):
+        with pytest.raises(TypeError):
+            GridSpec(F(1, 2), 1, F(1, 2), (ZERO,), **{name: 1})
 
 
 class TestEnumeration:
-    def test_three_powers(self):
-        spec = GridSpec(eps=F(1), base=F(3, 2), lb=-1, ub=1, lambda_min=(ZERO,), K=1, c=F(1, 2))
+    def test_powers_in_order(self):
+        spec = GridSpec(F(1, 2), 1, F(1, 2), (ZERO,))
         pts = list(grid_points(spec))
-        assert [lam for _, lam in pts] == [(F(2, 3),), (F(1),), (F(3, 2),)]
-        assert [idx for idx, _ in pts] == [(-1,), (0,), (1,)]
-
-    def test_single_point(self):
-        spec = GridSpec(eps=F(1, 2), base=F(5, 4), lb=0, ub=0, lambda_min=(F(1), F(2)), K=2, c=F(1, 2))
-        pts = list(grid_points(spec))
-        assert pts == [((0, 0), (F(2), F(3)))]
+        exponents = range(spec.lb, spec.ub + 1)
+        assert [lam for _, lam in pts] == [(spec.base**i,) for i in exponents]
+        assert [idx for idx, _ in pts] == [(i,) for i in exponents]
 
     def test_cardinality(self):
-        spec = GridSpec(eps=F(1, 2), base=F(5, 4), lb=-1, ub=1, lambda_min=(ZERO, ZERO), K=2, c=F(1, 2))
+        spec = GridSpec(F(1, 2), 2, F(1, 2), (F(1), F(2)))
         pts = list(grid_points(spec))
-        assert len(pts) == 9 == spec.size
+        assert len(pts) == spec.span**2 == spec.size
         assert pts == sorted(pts)
-
-    def test_cap(self):
-        spec = GridSpec(eps=F(1, 2), base=F(5, 4), lb=0, ub=99, lambda_min=(ZERO, ZERO), K=2, c=F(1, 2))
-        with pytest.raises(GridCapError):
-            next(grid_points(spec, cap=9999))
+        assert pts[0] == ((spec.lb, spec.lb), (1 + spec.base**spec.lb, 2 + spec.base**spec.lb))
 
     def test_lazy(self):
-        spec = GridSpec(eps=F(1, 2), base=F(5, 4), lb=0, ub=999, lambda_min=(ZERO,), K=1, c=F(1, 2))
+        spec = GridSpec(F(1, 100), 4, F(1, 64), (ZERO,) * 4)
+        assert spec.size > 10**12
         stream = grid_points(spec)
-        assert next(stream)[0] == (0,)
+        assert next(stream)[0] == (spec.lb,) * 4
 
 
 class TestSnap:
-    def _spec(self, base=F(3, 2), lb=-50, ub=50, K=1):
-        return GridSpec(eps=F(1), base=base, lb=lb, ub=ub, lambda_min=(ZERO,) * K, K=K, c=F(1, 2))
+    def _spec(self, eps=F(1, 2), K=1):
+        return GridSpec(F(1, 2), K, eps, (ZERO,) * K)
 
-    def test_offset_two_base_three_halves(self):
-        assert snap(self._spec(), (F(2),)) == (1,)
+    def test_offset_two(self):
+        # (5/4)^3 = 125/64 <= 2 < (5/4)^4
+        assert snap(self._spec(), (F(2),)) == (3,)
 
     def test_exact_power_is_left_edge(self):
         spec = self._spec()
-        for j in (-3, 0, 5):
+        for j in (spec.lb, -3, 0, 5, spec.ub):
             assert snap(spec, (spec.base**j,)) == (j,)
 
     def test_offset_one(self):
-        for base in (F(3, 2), F(5, 4), F(9, 8)):
-            assert snap(self._spec(base=base), (F(1),)) == (0,)
+        for eps in (F(1, 2), F(1, 4), F(1, 8)):
+            assert snap(self._spec(eps=eps), (F(1),)) == (0,)
 
     def test_out_of_range_raises(self):
-        spec = self._spec(lb=-2, ub=2)
+        spec = self._spec()
         with pytest.raises(SnapRangeError):
-            snap(spec, (spec.base**5,))
+            snap(spec, (spec.base ** (spec.ub + 2),))
         with pytest.raises(SnapRangeError):
             snap(spec, (ZERO,))
 
     def test_cell_edges_are_exact(self):
-        spec = self._spec(lb=-2, ub=2)
-        assert spec.powers == tuple(spec.base**i for i in range(-2, 4))
+        spec = self._spec()
+        assert spec.powers == tuple(spec.base**i for i in range(spec.lb, spec.ub + 2))
         tiny = F(1, 10**30)
-        assert snap(spec, (spec.base**-2,)) == (-2,)
-        assert snap(spec, (spec.base**3 - tiny,)) == (2,)
-        for outside in (spec.base**-2 - tiny, spec.base**3):
+        assert snap(spec, (spec.base**spec.lb,)) == (spec.lb,)
+        assert snap(spec, (spec.base ** (spec.ub + 1) - tiny,)) == (spec.ub,)
+        for outside in (spec.base**spec.lb - tiny, spec.base ** (spec.ub + 1)):
             with pytest.raises(SnapRangeError):
                 snap(spec, (outside,))
 
@@ -129,7 +177,7 @@ class TestSnap:
         for eps in eps_choices:
             c = F(rng.randint(1, 60), 600)
             K = rng.randint(1, 3)
-            specs.append(make_spec(c, K, eps, (ZERO,) * K))
+            specs.append(GridSpec(c, K, eps, (ZERO,) * K))
         for trial in range(100_000):
             spec = specs[trial % len(specs)]
             lo = spec.c**spec.K / factorial(spec.K + 1)
@@ -157,7 +205,7 @@ class TestGridCellApproximation:
         for _ in range(40):
             inst = random_explicit(rng, count=8, K=2, vmax=9)
             eps = F(rng.choice([1, 1]), rng.choice([2, 4]))
-            spec = make_spec(F(1, 10), inst.K, eps, inst.lambda_min)
+            spec = GridSpec(F(1, 10), inst.K, eps, inst.lambda_min)
             lam = tuple(
                 lm + spec.base ** rng.randint(-6, 6) * (1 + F(rng.randint(0, 16), 16) * (spec.base - 1))
                 for lm in inst.lambda_min

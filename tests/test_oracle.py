@@ -3,15 +3,14 @@ from fractions import Fraction as F
 import pytest
 
 from paramgrid import (
+    GridSpec,
     SolutionRecord,
     Sense,
     augmented_evaluate,
     enumerate_solutions,
     evaluate,
     explicit_instance,
-    make_spec,
     minimum_cover_size,
-    pareto_prune,
     sample_parameters_labeled,
     verify_approximation_set,
     verify_on_weights,
@@ -167,14 +166,23 @@ class TestOneScan:
             assert scan.best([F(1), F(1)]) == (records[0], F(4))
             assert scan.best([F(0), F(0)]) == (records[0], F(0))
 
+    def test_exhaustive_oracle_tie_pick(self):
+        # The pruned scan keeps rows sorted for the sense (negated for MAX),
+        # so at the four-way tie lambda = 1 it answers the row sorting first.
+        records = [rec("late", 3, 1), rec("tie-a", 2, 2), rec("tie-b", 2, 2), rec("low", 1, 3)]
+        for sense, name in ((Sense.MIN, "low"), (Sense.MAX, "late")):
+            inst = explicit_instance(records, K=1, sense=sense)
+            x, val = ExhaustiveOracle(inst).optimum([F(1)])
+            assert (x.encoding, val) == (("explicit", name), F(4))
+
 
 class TestParetoPrune:
     def test_optimum_preserved(self, rng):
         for sense in (Sense.MIN, Sense.MAX):
             for _ in range(25):
                 inst = random_explicit(rng, count=12, K=2, vmax=8, sense=sense)
-                pruned = pareto_prune(enumerate_solutions(inst), sense)
                 scan = ExhaustiveOracle(inst)
+                pruned = scan._scan.records
                 for _ in range(10):
                     lam = random_lambda(rng, inst, spread=40)
                     _, fast = scan.optimum(lam)
@@ -189,21 +197,21 @@ class TestParetoPrune:
 class TestSampling:
     def test_first_sample_is_anchor(self):
         inst = toy_knapsack()
-        spec = make_spec(F(1, 10), 1, F(1, 2), inst.lambda_min)
+        spec = GridSpec(F(1, 10), 1, F(1, 2), inst.lambda_min)
         assert sample_parameters_labeled(inst, spec, 1, seed=3) == [("lambda-min", inst.lambda_min)]
 
-    def test_single_grid_point_included(self):
+    def test_every_grid_point_when_half_the_budget_holds_them(self):
         inst = toy_knapsack()
-        from paramgrid.grid import GridSpec
-
-        spec = GridSpec(eps=F(1, 2), base=F(5, 4), lb=0, ub=0,
-                        lambda_min=inst.lambda_min, K=1, c=F(1, 10))
-        samples = [lam for _, lam in sample_parameters_labeled(inst, spec, 12, seed=0)]
-        assert (inst.lambda_min[0] + 1,) in samples
+        spec = GridSpec(F(9, 10), 1, F(1, 2), inst.lambda_min)
+        # the anchor and three far-field spikes come first
+        n = 4 + 2 * spec.size
+        probed = [lam for label, lam in sample_parameters_labeled(inst, spec, n, seed=0)
+                  if label == "grid-point"]
+        assert probed == [spec.point(idx) for idx in spec.indices()]
 
     def test_deterministic_under_seed(self):
         inst = toy_knapsack()
-        spec = make_spec(F(1, 10), 1, F(1, 2), inst.lambda_min)
+        spec = GridSpec(F(1, 10), 1, F(1, 2), inst.lambda_min)
         a = sample_parameters_labeled(inst, spec, 100, seed=9)
         b = sample_parameters_labeled(inst, spec, 100, seed=9)
         assert a == b
@@ -212,13 +220,13 @@ class TestSampling:
 
     def test_far_field_present(self):
         inst = toy_knapsack()
-        spec = make_spec(F(1, 10), 1, F(1, 2), inst.lambda_min)
+        spec = GridSpec(F(1, 10), 1, F(1, 2), inst.lambda_min)
         labels = {label for label, _ in sample_parameters_labeled(inst, spec, 50, seed=0)}
         assert {"lambda-min", "far-field", "grid-point"} <= labels
 
     def test_samples_stay_in_domain(self, rng):
         inst = random_knapsack(rng, n=5, K=2, cmax=9)
-        spec = make_spec(F(1, 20), 2, F(1, 2), inst.lambda_min)
+        spec = GridSpec(F(1, 20), 2, F(1, 2), inst.lambda_min)
         for _, lam in sample_parameters_labeled(inst, spec, 200, seed=1):
             assert all(v >= lo for v, lo in zip(lam, inst.lambda_min))
 
@@ -226,7 +234,7 @@ class TestSampling:
 class TestVerify:
     def test_full_set_passes_at_any_beta(self, rng):
         inst = random_knapsack(rng, n=5, K=1, cmax=9)
-        spec = make_spec(F(1, 10), 1, F(1, 2), inst.lambda_min)
+        spec = GridSpec(F(1, 10), 1, F(1, 2), inst.lambda_min)
         samples = sample_parameters_labeled(inst, spec, 60, seed=2)
         report = verify_approximation_set(inst, enumerate_solutions(inst), F(1), samples)
         assert report.passed
@@ -235,7 +243,7 @@ class TestVerify:
 
     def test_truncated_set_fails(self):
         inst = toy_knapsack()
-        spec = make_spec(F(1, 10), 1, F(1, 2), inst.lambda_min)
+        spec = GridSpec(F(1, 10), 1, F(1, 2), inst.lambda_min)
         samples = sample_parameters_labeled(inst, spec, 60, seed=2)
         # keep only the low-parameter solution; far field then degrades
         only_first = [r for r in enumerate_solutions(inst) if r.encoding == ("items", (0,))]

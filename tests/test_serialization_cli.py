@@ -7,7 +7,7 @@ from functools import cache
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from paramgrid import approximate, query
+from paramgrid import approximate, engine, query
 from paramgrid.cli import main
 from paramgrid.errors import InvalidInstanceError, ParamGridError
 from paramgrid.serialization import (
@@ -358,6 +358,26 @@ class TestUnreadableFiles:
         inst_path = write(tmp_path, "inst.json", TOY_KNAPSACK)
         assert main(["approximate", inst_path, "--epsilon", "1/2", "--out", str(tmp_path)]) == 2
         assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize(
+        "outputs",
+        [["--out", "{dir}"], ["--out", "{dir}/missing/s.json"], ["--out", ""],
+         ["--out", "{dir}/s.json", "--report", "{dir}"]],
+        ids=["out-directory", "out-in-missing-directory", "out-empty", "report-directory"],
+    )
+    def test_bad_output_fails_before_the_fit(self, tmp_path, capsys, monkeypatch, outputs):
+        inst_path = write(tmp_path, "inst.json", TOY_KNAPSACK)
+        (tmp_path / "s.json").write_text("an earlier set\n", encoding="utf-8")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        calls = []
+        fit = engine.approximate
+        monkeypatch.setattr(engine, "approximate", lambda *a, **kw: calls.append(a) or fit(*a, **kw))
+        argv = ["approximate", inst_path, "--epsilon", "1/2"]
+        assert main(argv + [arg.format(dir=tmp_path) for arg in outputs]) == 2
+        assert_one_error_line(capsys)
+        assert calls == []
+        # no file created, none truncated
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     @pytest.mark.parametrize(
         "content",

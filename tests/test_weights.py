@@ -8,13 +8,13 @@ from hypothesis import example, given, settings, strategies as st
 from paramgrid import (
     ApproximationSet,
     DomainError,
+    GridSpec,
     ProblemInstance,
     Sense,
     SolutionRecord,
     augmented_evaluate,
     lambda_from_weight,
     lift_to_cone,
-    make_spec,
     query,
     snap,
     threshold,
@@ -276,7 +276,7 @@ class TestIntegerLift:
     def test_query_cell_equals_fraction_path(self, point, c):
         lam, lambda_min = point
         K = len(lam)
-        spec = make_spec(c, K, F(1, 2), lambda_min)
+        spec = GridSpec(c, K, F(1, 2), lambda_min)
         instance = ProblemInstance(Sense.MIN, K, lambda_min, ONE, ONE, payload=None)
         aset = ApproximationSet(
             requested_eps=spec.eps, alpha=ONE, spec=spec,
