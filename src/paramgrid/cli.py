@@ -22,7 +22,7 @@ import sys
 import time
 from fractions import Fraction
 
-from . import engine, fixtures, oracle, serialization, weights
+from . import engine, fixtures, oracle, serialization
 from .errors import (
     DomainError,
     EpsilonRangeError,
@@ -31,8 +31,7 @@ from .errors import (
     ParamGridError,
     TooLargeError,
 )
-from .grid import snap
-from .model import evaluate
+from .model import check_lambda, evaluate
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -177,16 +176,19 @@ def _cmd_query(args) -> int:
 
 
 def _explain(aset: engine.ApproximationSet, instance, lam) -> dict:
-    """The query's stages with its lift certificate, which ``query`` itself never builds."""
+    """The pass ``query`` ran (``engine.locate``), with each lift step's ``mu`` as a rational."""
     frac = serialization.frac_str
-    w = weights.weight_from_lambda(lam, instance.lambda_min)
-    cert = weights.lift_to_cone(w, aset.c)
-    compact = weights.lambda_from_weight(cert.final, instance.lambda_min)
+    w, order, lifted, steps, cell = engine.locate(aset.spec, instance, check_lambda(instance, lam))
     return {
-        "weight": [frac(v) for v in w],
-        "lift": [{"indices": list(step.indices), "mu": frac(step.mu)} for step in cert.steps],
-        "compact_lambda": [frac(v) for v in compact],
-        "cell": list(snap(aset.spec, compact)),
+        "weight": [frac(Fraction(v, w[0])) for v in w],
+        "lift": [
+            {"indices": sorted(order[: top + 1]), "mu": frac(Fraction(num, den))}
+            for top, num, den, _ in steps
+        ],
+        "compact_lambda": [
+            frac(Fraction(v, lifted[0]) + lm) for v, lm in zip(lifted[1:], instance.lambda_min)
+        ],
+        "cell": list(cell),
     }
 
 

@@ -212,25 +212,30 @@ def approximate(
     )
 
 
+def locate(spec: GridSpec, instance: ProblemInstance, lam: Lambda) -> tuple:
+    """The integer pass from a ``check_lambda``-checked vector to its grid cell.
+
+    Returns w = D * (1, lambda - lambda_min) for the common denominator D of
+    both vectors, the ``order``, ``lifted`` weight and ``steps`` of
+    ``lift_integer_weight(w, ...)``, and the snapped cell.  Every step after
+    the weight is scale-invariant, so all of them run on w.
+    """
+    ints, D = _clear_denominators(lam + instance.lambda_min)
+    K = instance.K
+    w = [D, *(v - lm for v, lm in zip(ints[:K], ints[K:]))]
+    order, lifted, steps = lift_integer_weight(w, spec.c.numerator, spec.c.denominator)
+    cell = tuple(spec.floor_exponent(k, lifted[k + 1], lifted[0]) for k in range(K))
+    return w, order, lifted, steps, cell
+
+
 def query(
     aset: ApproximationSet, instance: ProblemInstance, lam: Sequence[RationalLike]
 ) -> SolutionRecord:
-    """Solution responsible for a parameter vector.
+    """Solution responsible for a parameter vector: the entry of ``locate``'s cell.
 
     The returned record is (1 + eps) * alpha approximate at ``lam``
     (reciprocal form for maximization): conversion to the weight
     (1, lambda - lambda_min), cone lifting and snapping compose the run's
-    per-step losses into exactly that factor.  Every step after the weight
-    is scale-invariant, so all of them run on one integer multiple of it;
-    ``lift_to_cone`` gives the same lift with its certificate.
+    per-step losses into exactly that factor.
     """
-    vec = check_lambda(instance, lam)
-    # D * (1, lambda - lambda_min) for the common denominator D of both vectors
-    ints, D = _clear_denominators(vec + instance.lambda_min)
-    K = instance.K
-    offsets = [v - lm for v, lm in zip(ints[:K], ints[K:])]
-    spec = aset.spec
-    c = spec.c
-    _, w, _ = lift_integer_weight([D, *offsets], c.numerator, c.denominator)
-    idx = tuple(spec.floor_exponent(k, w[k + 1], w[0]) for k in range(K))
-    return aset.entries[idx]
+    return aset.entries[locate(aset.spec, instance, check_lambda(instance, lam))[-1]]

@@ -14,6 +14,7 @@ from fractions import Fraction
 from itertools import combinations, islice
 from typing import Sequence
 
+from .engine import ApproximationSet, locate
 from .errors import DomainError, InvalidInstanceError, TooLargeError
 from .grid import GridSpec, _float_log, compact_box
 from .model import (
@@ -109,18 +110,15 @@ class _ScanState:
         self.records = tuple(self.records[i] for _, i in kept)
         self.F_int = [self.F_int[i] for _, i in kept]
 
+    def values(self, w: Sequence[int]) -> list[int]:
+        """Each row's value at an integer weight, in units of 1/scale."""
+        return [sum(map(operator.mul, w, row)) for row in self.F_int]
+
     def best(self, weights: Sequence[Fraction]) -> tuple[SolutionRecord, Fraction]:
         mult, q = _clear_denominators(weights)
-        values = [sum(map(operator.mul, mult, row)) for row in self.F_int]
+        values = self.values(mult)
         val = self.pick(values)
         return self.records[values.index(val)], Fraction(val, q * self.scale)
-
-
-def _checked_weight(instance: ProblemInstance, w: Sequence[RationalLike]) -> Weight:
-    vec = check_weight(w)
-    if len(vec) != instance.K + 1:
-        raise DomainError(f"weight length {len(vec)} does not match {instance.K + 1} components")
-    return vec
 
 
 @dataclass
@@ -222,8 +220,8 @@ class VerificationReport:
     """Outcome of checking the set property over a sample of points.
 
     ``worst_ratio`` is None only when no finite ratio was observed;
-    ``hard_failures`` counts points where the optimum is zero but the set's
-    best value is not (no factor can repair those).
+    ``hard_failures`` counts points where the optimum is zero but the checked
+    value (the set's answer, or the pool's best on weights) is not.
     """
 
     beta: Fraction
@@ -236,43 +234,25 @@ class VerificationReport:
     space: str = "parameter"
 
 
-def _ratio(best: Fraction, opt: Fraction, sense: Sense) -> Fraction | None:
-    """Approximation factor of ``best`` against optimum ``opt``; None if infinite."""
+def _ratio(value, opt, sense: Sense) -> Fraction | None:
+    """Factor of ``value`` against optimum ``opt``, both scaled alike; None if infinite."""
     if sense is Sense.MIN:
         if opt == 0:
-            return Fraction(1) if best == 0 else None
-        return best / opt
-    if best == 0:
+            return Fraction(1) if value == 0 else None
+        return Fraction(value, opt)
+    if value == 0:
         return Fraction(1) if opt == 0 else None
-    return opt / best
+    return Fraction(opt, value)
 
 
-def _solution_pool(solutions) -> list[SolutionRecord]:
-    if hasattr(solutions, "solutions"):
-        return list(solutions.solutions)
-    return list(solutions)
-
-
-def _verify(
-    instance: ProblemInstance,
-    solutions,
-    beta: RationalLike,
-    probes: Sequence[tuple[str, tuple, Weight]],
-    space: str,
-) -> VerificationReport:
-    """Check the pool against the exact optimum at each (label, point, weight) probe."""
+def _report(beta: RationalLike, probes: Sequence[tuple], space: str) -> VerificationReport:
+    """Fold (label, point, ratio) probes into a report; a None ratio is a hard failure."""
     b = as_fraction(beta)
-    scan = _ScanState(_solution_pool(solutions), instance.sense)
-    reference = ExhaustiveOracle(instance)._scan
-
     worst: Fraction | None = None
     worst_point = None
     hard = 0
     strategies: dict[str, StrategyStats] = {}
-    for label, point, weight in probes:
-        _, best_val = scan.best(weight)
-        _, opt_val = reference.best(weight)
-        ratio = _ratio(best_val, opt_val, instance.sense)
+    for label, point, ratio in probes:
         stats = strategies.setdefault(label, StrategyStats())
         stats.samples += 1
         if ratio is None:
@@ -299,11 +279,18 @@ def _verify(
 
 def verify_approximation_set(
     instance: ProblemInstance,
-    solutions,
+    aset: ApproximationSet,
     beta: RationalLike,
     samples: Sequence[tuple[str, Lambda]],
 ) -> VerificationReport:
-    """Check that some pooled solution is beta-approximate at every (label, lambda) sample."""
+    """Check that ``query``'s answer is beta-approximate at every (label, lambda) sample.
+
+    The answer is the record in ``engine.locate``'s cell, valued on the same
+    integer weight as the exact optimum.
+    """
+    answers = _ScanState(aset.solutions, instance.sense)
+    rows = {rec.encoding: row for rec, row in zip(answers.records, answers.F_int)}
+    reference = ExhaustiveOracle(instance)._scan
     probes = []
     for sample in samples:
         label, lam = sample if isinstance(sample, tuple) and len(sample) == 2 else (None, None)
@@ -312,19 +299,29 @@ def verify_approximation_set(
                 f"a verify sample must be a (label, lambda vector) pair, got {sample!r}"
             )
         vec = check_lambda(instance, lam)
-        probes.append((label, vec, weight_from_lambda(vec, instance.lambda_min)))
-    return _verify(instance, solutions, beta, probes, "parameter")
+        w, _, _, _, cell = locate(aset.spec, instance, vec)
+        # the two rows were cleared with different scales; cross-multiply them
+        value = sum(map(operator.mul, w, rows[aset.entries[cell].encoding])) * reference.scale
+        opt = reference.pick(reference.values(w)) * answers.scale
+        probes.append((label, vec, _ratio(value, opt, instance.sense)))
+    return _report(beta, probes, "parameter")
 
 
 def verify_on_weights(
     instance: ProblemInstance,
-    solutions,
+    solutions: Sequence[SolutionRecord],
     beta: RationalLike,
     weights: Sequence[Weight],
 ) -> VerificationReport:
-    """Weight-space variant of the set check (covers the w_0 = 0 boundary)."""
-    checked = [_checked_weight(instance, w) for w in weights]
-    return _verify(instance, solutions, beta, [("weights", w, w) for w in checked], "weight")
+    """Check that some pooled solution is beta-approximate at every weight (w_0 = 0 too)."""
+    pool = _ScanState(solutions, instance.sense)
+    reference = ExhaustiveOracle(instance)._scan
+    probes = []
+    for w in map(check_weight, weights):
+        if len(w) != instance.K + 1:
+            raise DomainError(f"weight length {len(w)} does not match {instance.K + 1} components")
+        probes.append(("weights", w, _ratio(pool.best(w)[1], reference.best(w)[1], instance.sense)))
+    return _report(beta, probes, "weight")
 
 
 MAX_COVER_SOLUTIONS = 12

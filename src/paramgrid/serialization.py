@@ -242,7 +242,7 @@ def approximation_set_from_dict(doc: dict) -> ApproximationSet:
             raise InvalidInstanceError(
                 f"a cell refers to {ref!r}, not one of the {len(solutions)} solutions"
             )
-    # approximate lists only referenced solutions, and verify checks the whole pool
+    # approximate lists only solutions that some cell refers to: refuse a file it cannot write
     if len(set(cells)) != len(solutions):
         raise InvalidInstanceError(
             f"cells refer to {len(set(cells))} of the {len(solutions)} solutions"

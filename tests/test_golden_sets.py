@@ -155,11 +155,11 @@ def _digest(doc: dict) -> str:
 
 
 VERIFY_GOLDEN = {
-    "mincut-k2": "4f1921f0998eae0de2c9df8d2c823db956093a3402e98376c7f9e7aa604800d8",
+    "mincut-k2": "0cb2aedd0b984c5f2360e942ffee40876e082979d08b154da9c39f5c5f7ad9ff",
     "knapsack-dp-eps-1/8": "c0cadbffe891dd2ffe2aa0242813e8a54e04a0a7b342db0626186f5d07cf8424",
-    "knapsack-scaling": "cb046b1989d70dc161965093f1b94e1e036ee367d1c861e162de0b4cc967dd5e",
+    "knapsack-scaling": "deba677e0cc93e87206b5693381899098514d0bacfd034586c87b3caf29da813",
     "greedy": "7fde75f9eae432f6cf1d635e1fabdd3bf6a8e8c479ca7057e1ccf6df65ae6c7f",
-    "explicit-k2": "0d151b51853fee2d265c77f9209f52c98a6cd073ec7dbf64f5e3b2f4941059b6",
+    "explicit-k2": "478cc616c1d05e91837b96cb8efc4371cf5a289ef4e747fc2f7e964b0bb9c710",
 }
 
 

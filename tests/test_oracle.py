@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from paramgrid import (
     GridSpec,
+    approximate,
     SolutionRecord,
     Sense,
     augmented_evaluate,
@@ -11,9 +13,11 @@ from paramgrid import (
     evaluate,
     explicit_instance,
     minimum_cover_size,
+    query,
     sample_parameters_labeled,
     verify_approximation_set,
     verify_on_weights,
+    weight_from_lambda,
 )
 from paramgrid.errors import InvalidInstanceError, TooLargeError
 from paramgrid.oracle import ExhaustiveOracle, _ScanState
@@ -236,18 +240,20 @@ class TestVerify:
         inst = random_knapsack(rng, n=5, K=1, cmax=9)
         spec = GridSpec(F(1, 10), 1, F(1, 2), inst.lambda_min)
         samples = sample_parameters_labeled(inst, spec, 60, seed=2)
-        report = verify_approximation_set(inst, enumerate_solutions(inst), F(1), samples)
+        weights = [weight_from_lambda(lam, inst.lambda_min) for _, lam in samples]
+        report = verify_on_weights(inst, enumerate_solutions(inst), F(1), weights)
         assert report.passed
         assert report.worst_ratio == 1
-        assert set(report.strategies) >= {"lambda-min", "far-field"}
+        assert report.strategies["weights"].samples == 60
 
     def test_truncated_set_fails(self):
         inst = toy_knapsack()
         spec = GridSpec(F(1, 10), 1, F(1, 2), inst.lambda_min)
         samples = sample_parameters_labeled(inst, spec, 60, seed=2)
+        weights = [weight_from_lambda(lam, inst.lambda_min) for _, lam in samples]
         # keep only the low-parameter solution; far field then degrades
         only_first = [r for r in enumerate_solutions(inst) if r.encoding == ("items", (0,))]
-        report = verify_approximation_set(inst, only_first, F(3, 2), samples)
+        report = verify_on_weights(inst, only_first, F(3, 2), weights)
         assert not report.passed
         assert report.worst_ratio > F(3, 2)
 
@@ -258,8 +264,73 @@ class TestVerify:
     )
     def test_sample_must_be_labeled(self, K, sample):
         inst = explicit_instance([rec("only", *range(1, K + 2))], K=K)
+        aset = approximate(inst, F(1, 2))
         with pytest.raises(InvalidInstanceError, match=r"\(label, lambda vector\) pair"):
-            verify_approximation_set(inst, enumerate_solutions(inst), F(1), [sample])
+            verify_approximation_set(inst, aset, F(1), [sample])
+
+    def test_swapped_cells_fail(self):
+        # The pool still holds each optimum, but every cell names the other
+        # solution; verify checks what query answers, so the set fails.
+        inst = knapsack_instance(knapsack_data([(9, (1,), 2), (1, (9,), 2)], budget=2, K=1))
+        aset = approximate(inst, F(1, 2))
+        samples = sample_parameters_labeled(inst, aset.spec, 50)
+        assert verify_approximation_set(inst, aset, aset.guarantee, samples).passed
+        x, y = aset.solutions
+        other = {x: y, y: x}
+        aset.entries = {idx: other[r] for idx, r in aset.entries.items()}
+        report = verify_approximation_set(inst, aset, F(1), samples)
+        assert not report.passed
+        assert report.worst_ratio > 60
+
+    @pytest.mark.parametrize("sense", [Sense.MIN, Sense.MAX], ids=["min", "max"])
+    @pytest.mark.parametrize("K", [1, 2])
+    @pytest.mark.parametrize("scrambled", [False, True], ids=["fitted", "scrambled"])
+    def test_matches_fraction_reference(self, sense, K, scrambled):
+        # Rational components give the answer rows and the reference rows
+        # different cleared scales.  The optimum is 0 at lambda_min: MIN
+        # gets a record with a zero objective there, and every MAX record
+        # starts at 0.  The scrambled set answers each cell with a seeded
+        # random record, so ratios above 1 and hard failures show up too.
+        rng = random.Random(40 + K)
+        records = [
+            rec(f"s{i}", *(F(rng.randint(0, 30), rng.randint(1, 7)) for _ in range(K + 1)))
+            for i in range(8)
+        ]
+        if sense is Sense.MIN:
+            records.append(rec("zero", 0, *([9] * K)))
+        else:
+            records = [SolutionRecord(r.encoding, (F(0), *r.F[1:])) for r in records]
+        inst = explicit_instance(records, sense=sense, K=K)
+        aset = approximate(inst, F(1, 2))
+        if scrambled:
+            aset.solutions = tuple(records)
+            aset.entries = {idx: rng.choice(records) for idx in aset.entries}
+        samples = sample_parameters_labeled(inst, aset.spec, 150, seed=K)
+        samples.append(("optimum-zero", inst.lambda_min))
+        assert optimum_by_enumeration(inst, inst.lambda_min) == 0
+        report = verify_approximation_set(inst, aset, aset.guarantee, samples)
+
+        worst, worst_point, hard, per_label = None, None, 0, {}
+        for label, lam in samples:
+            value = evaluate(inst, query(aset, inst, lam), lam)
+            opt = optimum_by_enumeration(inst, lam)
+            if sense is Sense.MAX:
+                value, opt = opt, value  # the ratio is opt / value
+            per_label.setdefault(label, None)
+            if opt == 0 and value != 0:
+                hard += 1
+                worst_point = lam
+                continue
+            ratio = F(1) if opt == 0 else value / opt
+            if worst is None or ratio > worst:
+                worst, worst_point = ratio, lam
+            if per_label[label] is None or ratio > per_label[label]:
+                per_label[label] = ratio
+        assert report.worst_ratio == worst
+        assert report.worst_point == worst_point
+        assert report.hard_failures == hard
+        assert {label: s.worst_ratio for label, s in report.strategies.items()} == per_label
+        assert report.passed == (hard == 0 and worst <= aset.guarantee)
 
     def test_lone_spike_fails_at_opposite_axis(self):
         # Keeping only one spike of the forced-cover gadget fails at the

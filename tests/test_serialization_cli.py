@@ -256,6 +256,26 @@ class TestCli:
         assert verdict["passed"] is False
         assert F(verdict["worst_ratio"]) > F(3, 2)
 
+    def test_swapped_cells_fail_verify(self, tmp_path, capsys):
+        # Both solutions stay referenced, so the loader accepts the set, but
+        # every cell now names the other one: what query answers is bad.
+        items = [{"a": 9, "b": [1], "weight": 2}, {"a": 1, "b": [9], "weight": 2}]
+        inst_path = write(tmp_path, "inst.json", {"problem": "knapsack", "K": 1,
+                                                   "budget": 2, "items": items})
+        set_path = str(tmp_path / "set.json")
+        assert main(["approximate", inst_path, "--epsilon", "1/2", "--out", set_path]) == 0
+        capsys.readouterr()
+        verify = ["verify", inst_path, "--beta", "1", "--samples", "50", "--set"]
+        assert main(verify + [set_path]) == 0
+        capsys.readouterr()
+        doc = json.loads((tmp_path / "set.json").read_text())
+        assert sorted(set(doc["cells"])) == [0, 1]
+        doc["cells"] = [1 - ref for ref in doc["cells"]]
+        assert main(verify + [write(tmp_path, "swapped.json", doc)]) == 6
+        verdict = json.loads(capsys.readouterr().out)
+        assert verdict["passed"] is False
+        assert F(verdict["worst_ratio"]) > 60
+
     def test_exit_code_too_large(self, tmp_path, capsys):
         # an 11-vertex path cut fits fine, but verify's reference enumerates n <= 10 vertices
         path_cut = {
