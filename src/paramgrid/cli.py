@@ -6,8 +6,9 @@ Commands: ``approximate`` (run the grid algorithm and serialize the set),
 fact checks) and ``fixtures list``.
 
 Exit codes (``EXIT_CODES``): 0 success, 2 schema or usage error (argparse
-exits 2 on a bad flag, such as ``--samples 0``) or a path that cannot be
-read or written, 3 accuracy parameter out of range,
+exits 2 on a bad flag, such as ``--samples 0`` or a rational in exponent
+notation), a set whose solutions are not the instance's own, or a path that
+cannot be read or written, 3 accuracy parameter out of range,
 4 grid cap exceeded, 5 parameter vector below its domain, 6 verification
 failed (the report is still written), 7 instance too large for the exhaustive
 reference that ``verify`` enumerates, or for the cover search of fixture
@@ -31,7 +32,7 @@ from .errors import (
     ParamGridError,
     TooLargeError,
 )
-from .model import check_lambda, evaluate
+from .model import as_fraction, check_lambda, evaluate
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -55,9 +56,9 @@ EXIT_CODES: tuple[tuple[type[Exception], int], ...] = (
 
 def _parse_fraction_arg(text: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
+        return as_fraction(text)
+    except InvalidInstanceError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _positive_int_arg(text: str) -> int:

@@ -26,7 +26,7 @@ from .model import (
     RationalLike,
     Sense,
     SolutionRecord,
-    _clear_denominators,
+    _integer_weight,
     as_fraction,
     check_lambda,
 )
@@ -220,11 +220,9 @@ def locate(spec: GridSpec, instance: ProblemInstance, lam: Lambda) -> tuple:
     ``lift_integer_weight(w, ...)``, and the snapped cell.  Every step after
     the weight is scale-invariant, so all of them run on w.
     """
-    ints, D = _clear_denominators(lam + instance.lambda_min)
-    K = instance.K
-    w = [D, *(v - lm for v, lm in zip(ints[:K], ints[K:]))]
+    w = _integer_weight(lam, instance.lambda_min)
     order, lifted, steps = lift_integer_weight(w, spec.c.numerator, spec.c.denominator)
-    cell = tuple(spec.floor_exponent(k, lifted[k + 1], lifted[0]) for k in range(K))
+    cell = tuple(spec.floor_exponent(k, lifted[k + 1], lifted[0]) for k in range(instance.K))
     return w, order, lifted, steps, cell
 
 

@@ -30,11 +30,22 @@ ONE = Fraction(1)
 
 
 def as_fraction(value: RationalLike) -> Fraction:
-    """Coerce ints, 'p/q' strings and Fractions to an exact Fraction."""
+    """Coerce ints, 'p/q' or plain decimal strings and Fractions to an exact Fraction.
+
+    Exponent notation such as '1e9' is refused: its cost grows with the
+    exponent, not with the length of the text.
+    """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, str)):
+    if isinstance(value, int):
         return Fraction(value)
+    if isinstance(value, str):
+        if "e" in value or "E" in value:
+            raise InvalidInstanceError(f"exponent notation {value!r} refused; use p/q or a decimal")
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InvalidInstanceError(f"bad rational literal {value!r}") from exc
     if isinstance(value, float):
         raise InvalidInstanceError(
             f"refusing float {value!r}; pass an int, Fraction or 'p/q' string"
@@ -184,6 +195,12 @@ def _clear_denominators(values: Sequence[Fraction]) -> tuple[list[int], int]:
     return [v.numerator * (D // v.denominator) for v in values], D
 
 
+def _integer_weight(lam: Lambda, lambda_min: Lambda) -> list[int]:
+    """w = D * (1, lam - lambda_min) for the common denominator D of both vectors."""
+    ints, D = _clear_denominators(lam + lambda_min)
+    return [D, *(v - lm for v, lm in zip(ints, ints[len(lam) :]))]
+
+
 def scaled_costs(
     rows: Iterable[tuple[int, Sequence[int]]], lam: Sequence[Fraction]
 ) -> tuple[list[int], int]:
@@ -302,6 +319,9 @@ def structured_instance(
     *,
     lambda_min: Sequence[RationalLike] | None = None,
 ) -> ProblemInstance:
+    # checked first: the anchor and the bounds below loop over K
+    if next(iter(payload.cost_rows()), None) is None:
+        raise DegenerateInstanceError("no arcs, items or elements: every solution is empty")
     lm = (
         as_vector(lambda_min, payload.K)
         if lambda_min is not None

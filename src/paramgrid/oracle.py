@@ -9,9 +9,9 @@ from __future__ import annotations
 import math
 import operator
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import combinations
 from typing import Sequence
 
 from .engine import ApproximationSet, locate
@@ -27,16 +27,15 @@ from .model import (
     Weight,
     ZERO,
     _clear_denominators,
+    _integer_weight,
     as_fraction,
     check_lambda,
     check_weight,
-    evaluate,
     record_from_elements,
 )
 from .solvers.independence import IndependenceSystem
 from .solvers.knapsack import KnapsackData
 from .solvers.mincut import CutGraph, cut_record
-from .weights import weight_from_lambda
 
 #: Enumeration guards per family (2^(n-2) cuts, 2^n subsets).
 MAX_CUT_VERTICES = 10
@@ -78,67 +77,60 @@ def enumerate_solutions(instance: ProblemInstance) -> tuple[SolutionRecord, ...]
     return tuple(records)
 
 
-class _ScanState:
-    """Integerized objective scan over a record list.
-
-    ``best`` takes a weight vector of length K+1; parameter-space callers
-    pass ``(1, lambda - lambda_min)``.  Ties go to the earliest record.
-    """
-
-    def __init__(self, records: Sequence[SolutionRecord], sense: Sense):
-        if not records:
-            raise DomainError("empty solution pool")
-        self.records = tuple(records)
-        self.pick = min if sense is Sense.MIN else max
-        flat, self.scale = _clear_denominators([v for rec in self.records for v in rec.F])
-        rest = iter(flat)
-        self.F_int = [tuple(islice(rest, len(rec.F))) for rec in self.records]
-
-    def prune(self) -> None:
-        """Drop every record whose row some kept row matches or beats in each component.
-
-        Rows are visited sorted by their sign-adjusted value (negated for
-        maximization), so of equal rows the earliest stays.  Safe for
-        optimum queries: a nonnegative weighting attains its optimum on the
-        kept rows.
-        """
-        sign = 1 if self.pick is min else -1
-        kept: list[tuple[tuple[int, ...], int]] = []
-        for row, i in sorted((tuple(sign * v for v in row), i) for i, row in enumerate(self.F_int)):
-            if not any(all(map(operator.le, other, row)) for other, _ in kept):
-                kept.append((row, i))
-        self.records = tuple(self.records[i] for _, i in kept)
-        self.F_int = [self.F_int[i] for _, i in kept]
-
-    def values(self, w: Sequence[int]) -> list[int]:
-        """Each row's value at an integer weight, in units of 1/scale."""
-        return [sum(map(operator.mul, w, row)) for row in self.F_int]
-
-    def best(self, weights: Sequence[Fraction]) -> tuple[SolutionRecord, Fraction]:
-        mult, q = _clear_denominators(weights)
-        values = self.values(mult)
-        val = self.pick(values)
-        return self.records[values.index(val)], Fraction(val, q * self.scale)
-
-
 @dataclass
 class ExhaustiveOracle:
-    """Exact solver, and the library's one exact optimum: a scan over the pruned enumeration."""
+    """Exact solver, and the library's one exact layer: integer rows of the enumeration.
+
+    Every solution's F is cleared with one shared scale.  Optima scan the
+    Pareto-pruned rows, sorted by sign-adjusted row (negated for
+    maximization) with the earliest of equal rows kept; ties go to the first.
+    """
 
     instance: ProblemInstance
-    _scan: _ScanState = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._scan = _ScanState(enumerate_solutions(self.instance), self.instance.sense)
-        self._scan.prune()
+        records = enumerate_solutions(self.instance)
+        flat, self._scale = _clear_denominators([v for rec in records for v in rec.F])
+        rows = list(zip(*[iter(flat)] * (self.instance.K + 1)))  # K + 1 entries per row
+        self._rows = {rec.encoding: row for rec, row in zip(records, rows)}
+        self._pick = min if self.instance.sense is Sense.MIN else max
+        sign = 1 if self._pick is min else -1
+        kept: list[tuple[tuple[int, ...], int]] = []
+        for key, i in sorted((tuple(sign * v for v in row), i) for i, row in enumerate(rows)):
+            # a nonnegative weighting attains its optimum on the rows no kept row dominates
+            if not any(all(map(operator.le, other, key)) for other, _ in kept):
+                kept.append((key, i))
+        self._kept = [records[i] for _, i in kept]
+        self._kept_rows = [rows[i] for _, i in kept]
 
     def __call__(self, instance: ProblemInstance, lam: Sequence[RationalLike]) -> SolutionRecord:
-        return self.optimum(lam)[0]
+        w = _integer_weight(check_lambda(self.instance, lam), self.instance.lambda_min)
+        return self._argbest(w)[0]
 
     def optimum(self, lam: Sequence[RationalLike]) -> tuple[SolutionRecord, Fraction]:
         """Exact optimizer and optimal value at ``lam``."""
-        vec = check_lambda(self.instance, lam)
-        return self._scan.best(weight_from_lambda(vec, self.instance.lambda_min))
+        w = _integer_weight(check_lambda(self.instance, lam), self.instance.lambda_min)
+        rec, value = self._argbest(w)
+        return rec, Fraction(value, w[0] * self._scale)
+
+    def _argbest(self, w: Sequence[int]) -> tuple[SolutionRecord, int]:
+        values = [sum(map(operator.mul, w, row)) for row in self._kept_rows]
+        value = self._pick(values)
+        return self._kept[values.index(value)], value
+
+    def _best(self, w: Sequence[int]) -> int:
+        """The optimal value at an integer weight, in the scale of ``_row``."""
+        return self._pick([sum(map(operator.mul, w, row)) for row in self._kept_rows])
+
+    def _row(self, rec: SolutionRecord) -> tuple[int, ...]:
+        """The row of the instance's solution with ``rec``'s encoding and F; others are refused."""
+        row = self._rows.get(rec.encoding)
+        if row is None or tuple(v * self._scale for v in rec.F) != row:
+            F = ", ".join(map(str, rec.F))
+            raise InvalidInstanceError(
+                f"solution {rec.label} with F = ({F}) is not a solution of the instance"
+            )
+        return row
 
 
 def _fraction_in(rng: random.Random, lo: Fraction, hi: Fraction) -> Fraction:
@@ -285,12 +277,11 @@ def verify_approximation_set(
 ) -> VerificationReport:
     """Check that ``query``'s answer is beta-approximate at every (label, lambda) sample.
 
-    The answer is the record in ``engine.locate``'s cell, valued on the same
-    integer weight as the exact optimum.
+    The answer, the record in ``engine.locate``'s cell, is valued from the instance's
+    own row on the exact optimum's integer weight; a solution it lacks is refused.
     """
-    answers = _ScanState(aset.solutions, instance.sense)
-    rows = {rec.encoding: row for rec, row in zip(answers.records, answers.F_int)}
-    reference = ExhaustiveOracle(instance)._scan
+    exact = ExhaustiveOracle(instance)
+    rows = {rec.encoding: exact._row(rec) for rec in aset.solutions}
     probes = []
     for sample in samples:
         label, lam = sample if isinstance(sample, tuple) and len(sample) == 2 else (None, None)
@@ -300,10 +291,8 @@ def verify_approximation_set(
             )
         vec = check_lambda(instance, lam)
         w, _, _, _, cell = locate(aset.spec, instance, vec)
-        # the two rows were cleared with different scales; cross-multiply them
-        value = sum(map(operator.mul, w, rows[aset.entries[cell].encoding])) * reference.scale
-        opt = reference.pick(reference.values(w)) * answers.scale
-        probes.append((label, vec, _ratio(value, opt, instance.sense)))
+        value = sum(map(operator.mul, w, rows[aset.entries[cell].encoding]))
+        probes.append((label, vec, _ratio(value, exact._best(w), instance.sense)))
     return _report(beta, probes, "parameter")
 
 
@@ -313,14 +302,21 @@ def verify_on_weights(
     beta: RationalLike,
     weights: Sequence[Weight],
 ) -> VerificationReport:
-    """Check that some pooled solution is beta-approximate at every weight (w_0 = 0 too)."""
-    pool = _ScanState(solutions, instance.sense)
-    reference = ExhaustiveOracle(instance)._scan
+    """Check that some pooled solution is beta-approximate at every weight (w_0 = 0 too).
+
+    Members are valued from the instance's own rows; one it lacks is refused.
+    """
+    if not solutions:
+        raise DomainError("empty solution pool")
+    exact = ExhaustiveOracle(instance)
+    pool = [exact._row(rec) for rec in solutions]
     probes = []
     for w in map(check_weight, weights):
         if len(w) != instance.K + 1:
             raise DomainError(f"weight length {len(w)} does not match {instance.K + 1} components")
-        probes.append(("weights", w, _ratio(pool.best(w)[1], reference.best(w)[1], instance.sense)))
+        ints = _clear_denominators(w)[0]
+        value = exact._pick(sum(map(operator.mul, ints, row)) for row in pool)
+        probes.append(("weights", w, _ratio(value, exact._best(ints), instance.sense)))
     return _report(beta, probes, "weight")
 
 
@@ -338,25 +334,24 @@ def minimum_cover_size(
     minimum cover of the full parameter set.
     """
     b = as_fraction(beta)
-    records = enumerate_solutions(instance)
-    if len(records) > MAX_COVER_SOLUTIONS:
-        raise TooLargeError(f"cover search needs at most {MAX_COVER_SOLUTIONS} solutions")
-    lams = [check_lambda(instance, lam) for lam in samples]
     exact = ExhaustiveOracle(instance)
-    optima = [exact.optimum(lam)[1] for lam in lams]
+    rows = list(exact._rows.values())
+    if len(rows) > MAX_COVER_SOLUTIONS:
+        raise TooLargeError(f"cover search needs at most {MAX_COVER_SOLUTIONS} solutions")
+    weights = [_integer_weight(check_lambda(instance, lam), instance.lambda_min) for lam in samples]
+    optima = [exact._best(w) for w in weights]
 
     covers = []
-    for rec in records:
+    for row in rows:
         mask = 0
-        for j, lam in enumerate(lams):
-            val = evaluate(instance, rec, lam)
-            ratio = _ratio(val, optima[j], instance.sense)
+        for j, w in enumerate(weights):
+            ratio = _ratio(sum(map(operator.mul, w, row)), optima[j], instance.sense)
             if ratio is not None and ratio <= b:
                 mask |= 1 << j
         covers.append(mask)
-    full = (1 << len(lams)) - 1
-    for size in range(1, len(records) + 1):
-        for combo in combinations(range(len(records)), size):
+    full = (1 << len(weights)) - 1
+    for size in range(1, len(rows) + 1):
+        for combo in combinations(range(len(rows)), size):
             merged = 0
             for i in combo:
                 merged |= covers[i]

@@ -13,7 +13,7 @@ from typing import Any
 from .engine import ApproximationSet
 from .errors import DomainError, InvalidInstanceError
 from .grid import GridSpec
-from .model import ProblemInstance, Sense, SolutionRecord, explicit_instance
+from .model import ProblemInstance, Sense, SolutionRecord, as_fraction, explicit_instance
 from .solvers.independence import from_generators, independence_instance
 from .solvers.knapsack import knapsack_data, knapsack_instance
 from .solvers.mincut import cut_graph, mincut_instance
@@ -24,16 +24,10 @@ def frac_str(value: Fraction) -> str:
 
 
 def parse_frac(value: Any) -> Fraction:
-    if isinstance(value, bool):
+    """A JSON rational: an integer or a string that ``as_fraction`` reads."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise InvalidInstanceError(f"expected a rational, got {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InvalidInstanceError(f"bad rational literal {value!r}") from exc
-    raise InvalidInstanceError(f"expected a rational, got {value!r}")
+    return as_fraction(value)
 
 
 def _require(doc: dict, key: str):
@@ -230,11 +224,20 @@ def approximation_set_from_dict(doc: dict) -> ApproximationSet:
     eps = parse_frac(_require(doc, "epsilon"))
     c = parse_frac(_require(doc, "c"))
     lambda_min = [parse_frac(v) for v in _list(_require(doc, "lambda_min"), "lambda_min")]
+    cells = _list(_require(doc, "cells"), "cells")
+    # GridSpec's cost grows with K, so K is checked against the data first.
+    # Every grid spans at least 3 exponents per axis; 3^K > len(cells) when
+    # K exceeds its bit length, so 3^K is only computed for small K.
+    if len(lambda_min) != K:
+        raise InvalidInstanceError(f"lambda_min has {len(lambda_min)} entries, expected K = {K}")
+    if K > len(cells).bit_length() or 3**K > len(cells):
+        raise InvalidInstanceError(
+            f"cells has {len(cells)} entries, fewer than the 3^K points of any grid with K = {K}"
+        )
     try:
         spec = GridSpec(c, K, eps, lambda_min)
     except DomainError as exc:  # c or epsilon outside (0, 1): the file is wrong, not the query
         raise InvalidInstanceError(f"bad grid geometry: {exc}") from exc
-    cells = _list(_require(doc, "cells"), "cells")
     if len(cells) != spec.size:
         raise InvalidInstanceError(f"cells cover {len(cells)} of the {spec.size} grid points")
     for ref in cells:

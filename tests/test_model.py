@@ -140,6 +140,17 @@ class TestValidation:
         with pytest.raises(InvalidInstanceError):
             as_fraction(0.5)
 
+    @pytest.mark.parametrize("text", ["x", "1e5", "2E-3", "1/0", ""])
+    def test_as_fraction_refuses_bad_literals(self, text):
+        # exponent notation costs time in the exponent, so it is refused outright
+        with pytest.raises(InvalidInstanceError):
+            as_fraction(text)
+
+    def test_as_fraction_parses_plain_literals(self):
+        assert as_fraction("3/2") == F(3, 2)
+        assert as_fraction("-4") == F(-4)
+        assert as_fraction("0.5") == F(1, 2)
+
     def test_check_lambda_shape(self):
         inst = explicit_instance([rec(3, 1, 2)], K=2)
         with pytest.raises(InvalidInstanceError):

@@ -20,7 +20,8 @@ from paramgrid import (
     weight_from_lambda,
 )
 from paramgrid.errors import InvalidInstanceError, TooLargeError
-from paramgrid.oracle import ExhaustiveOracle, _ScanState
+from paramgrid.model import _clear_denominators
+from paramgrid.oracle import ExhaustiveOracle
 from paramgrid.solvers import (
     cut_graph,
     from_generators,
@@ -119,9 +120,8 @@ class TestEnumeration:
 
 
 class TestOneScan:
-    """Every exact optimum search runs the same integer scan; it must agree
-    with plain Fraction enumeration and break ties towards the first record
-    it is given."""
+    """Every exact optimum search runs the same integer scan over
+    ``ExhaustiveOracle``'s rows; it must agree with plain Fraction enumeration."""
 
     def instances(self, rng):
         for _ in range(4):
@@ -147,9 +147,8 @@ class TestOneScan:
                 if rng.random() < 0.5:
                     w = (F(0), *w[1:])
                 wopt = optimum_by_enumeration_weight(inst, w)
-                xw, wval = _ScanState(records, inst.sense).best(w)
-                assert wval == wopt
-                assert xw == next(r for r in records if augmented_evaluate(r, w) == wopt)
+                ints, q = _clear_denominators(w)
+                assert F(exhaustive._best(ints), q * exhaustive._scale) == wopt
 
                 probe = rng.choice(records)
                 value = augmented_evaluate(probe, w)
@@ -159,16 +158,6 @@ class TestOneScan:
                     ratio = value / wopt if inst.sense is Sense.MIN else wopt / value
                     assert report.worst_ratio == ratio
         assert senses == {Sense.MIN, Sense.MAX}
-
-    def test_tie_goes_to_first_enumerated(self):
-        # All four tie at w = (1, 1); the Pareto-sorted scan of
-        # ExhaustiveOracle would put "low" first instead.
-        records = [rec("late", 3, 1), rec("tie-a", 2, 2), rec("tie-b", 2, 2), rec("low", 1, 3)]
-        for sense in (Sense.MIN, Sense.MAX):
-            inst = explicit_instance(records, K=1, sense=sense)
-            scan = _ScanState(enumerate_solutions(inst), sense)
-            assert scan.best([F(1), F(1)]) == (records[0], F(4))
-            assert scan.best([F(0), F(0)]) == (records[0], F(0))
 
     def test_exhaustive_oracle_tie_pick(self):
         # The pruned scan keeps rows sorted for the sense (negated for MAX),
@@ -186,7 +175,7 @@ class TestParetoPrune:
             for _ in range(25):
                 inst = random_explicit(rng, count=12, K=2, vmax=8, sense=sense)
                 scan = ExhaustiveOracle(inst)
-                pruned = scan._scan.records
+                pruned = scan._kept
                 for _ in range(10):
                     lam = random_lambda(rng, inst, spread=40)
                     _, fast = scan.optimum(lam)
@@ -281,6 +270,30 @@ class TestVerify:
         report = verify_approximation_set(inst, aset, F(1), samples)
         assert not report.passed
         assert report.worst_ratio > 60
+
+    def test_foreign_answers_refused(self):
+        # Every solution keeps its encoding but claims F = (10^6, 10^6); the
+        # answers are valued from the instance's own rows, so the set is refused.
+        inst = knapsack_instance(knapsack_data([(9, (1,), 2), (1, (9,), 2)], budget=2, K=1))
+        aset = approximate(inst, F(1, 2))
+        samples = sample_parameters_labeled(inst, aset.spec, 50)
+        tampered = {r.encoding: SolutionRecord(r.encoding, (F(10**6), F(10**6)))
+                    for r in aset.solutions}
+        aset.solutions = tuple(tampered.values())
+        aset.entries = {idx: tampered[r.encoding] for idx, r in aset.entries.items()}
+        with pytest.raises(InvalidInstanceError, match=r"F = \(1000000, 1000000\) is not a solution"):
+            verify_approximation_set(inst, aset, F(1), samples)
+
+    @pytest.mark.parametrize(
+        "stranger",
+        [rec("x", 1, 2), rec("z", 1, 3), SolutionRecord(("items", (7,)), (F(1), F(1)))],
+        ids=["other-F", "unknown-id", "other-encoding"],
+    )
+    def test_foreign_pool_member_refused(self, stranger):
+        inst = explicit_instance([rec("x", 1, 3), rec("y", 2, 1)], K=1)
+        assert verify_on_weights(inst, [rec("x", 1, 3)], F(3), [(F(1), F(1))]).passed
+        with pytest.raises(InvalidInstanceError, match="is not a solution of the instance"):
+            verify_on_weights(inst, [rec("x", 1, 3), stranger], F(3), [(F(1), F(1))])
 
     @pytest.mark.parametrize("sense", [Sense.MIN, Sense.MAX], ids=["min", "max"])
     @pytest.mark.parametrize("K", [1, 2])

@@ -1,12 +1,16 @@
 import copy
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 from functools import cache
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import paramgrid
 from paramgrid import approximate, engine, query
 from paramgrid.cli import main
 from paramgrid.errors import InvalidInstanceError, ParamGridError
@@ -276,6 +280,28 @@ class TestCli:
         assert verdict["passed"] is False
         assert F(verdict["worst_ratio"]) > 60
 
+    def test_foreign_solutions_refused_by_verify(self, tmp_path, capsys):
+        # Each solution keeps its encoding but claims F = (10^6, 10^6);
+        # verify values answers from the instance's own rows and refuses the set.
+        items = [{"a": 9, "b": [1], "weight": 2}, {"a": 1, "b": [9], "weight": 2}]
+        inst_path = write(tmp_path, "inst.json", {"problem": "knapsack", "K": 1,
+                                                   "budget": 2, "items": items})
+        set_path = str(tmp_path / "set.json")
+        assert main(["approximate", inst_path, "--epsilon", "1/2", "--out", set_path]) == 0
+        capsys.readouterr()
+        doc = json.loads((tmp_path / "set.json").read_text())
+        for solution in doc["solutions"]:
+            solution["F"] = ["1000000", "1000000"]
+        tampered = write(tmp_path, "tampered.json", doc)
+        code = main(["verify", inst_path, "--beta", "1", "--samples", "50", "--set", tampered])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: solution items:") and err.count("\n") == 1, err
+        # solutions that still belong to a same-shape instance are verified as before
+        roomier = write(tmp_path, "roomier.json", {"problem": "knapsack", "K": 1,
+                                                   "budget": 4, "items": items})
+        assert main(["verify", roomier, "--beta", "1", "--samples", "50", "--set", set_path]) == 6
+
     def test_exit_code_too_large(self, tmp_path, capsys):
         # an 11-vertex path cut fits fine, but verify's reference enumerates n <= 10 vertices
         path_cut = {
@@ -410,6 +436,59 @@ class TestUnreadableFiles:
         bad.write_bytes(content)
         assert main(["query", str(bad), inst_path, "--lam", "1"]) == 2
         assert_one_error_line(capsys)
+
+
+def run_cli(*args: str, timeout: float = 10):
+    """``paramgrid`` in a child process; running past ``timeout`` seconds fails the test."""
+    src = os.path.dirname(os.path.dirname(paramgrid.__file__))
+    return subprocess.run(
+        [sys.executable, "-m", "paramgrid.cli", *args], capture_output=True, text=True,
+        timeout=timeout, env={**os.environ, "PYTHONPATH": src},
+    )
+
+
+class TestHostileSizes:
+    """Small inputs whose literal or K would cost time far beyond their size exit 2 at once."""
+
+    def assert_refused(self, proc):
+        assert proc.returncode == 2, proc.stderr
+        assert [line for line in proc.stderr.splitlines() if "error:" in line] == [
+            proc.stderr.splitlines()[-1]
+        ], proc.stderr
+
+    def test_exponent_in_instance_file(self, tmp_path):
+        inst_path = write(tmp_path, "inst.json", {**TOY_KNAPSACK, "lambda_min": ["1e100000000"]})
+        self.assert_refused(run_cli("approximate", inst_path, "--epsilon", "1/2",
+                                    "--out", str(tmp_path / "set.json")))
+
+    def test_exponent_in_flag(self, tmp_path, capsys):
+        inst_path, _ = fitted_set(tmp_path, capsys)
+        proc = run_cli("query", str(tmp_path / "set.json"), inst_path, "--lam", "1e100000000")
+        self.assert_refused(proc)
+        assert "exponent notation" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "K, lambda_min",
+        [(10**6, [0]), (200_000, [0] * 200_000)],
+        ids=["lambda-min-too-short", "cells-too-few"],
+    )
+    def test_set_file_K_beyond_its_data(self, tmp_path, capsys, K, lambda_min):
+        # the solutions are dropped, so no F length check runs before the grid
+        inst_path, doc = fitted_set(tmp_path, capsys)
+        doc.update(K=K, lambda_min=lambda_min, solutions=[], cells=[])
+        self.assert_refused(run_cli("query", write(tmp_path, "big.json", doc), inst_path,
+                                    "--lam", "1"))
+
+    @pytest.mark.parametrize("problem, rows", [("mincut", "arcs"), ("knapsack", "items"),
+                                               ("independence", "elements")])
+    def test_empty_structured_instance(self, tmp_path, problem, rows):
+        doc = {"problem": problem, "K": 10**8, "vertices": 2, "source": 0, "sink": 1,
+               "budget": 1, "independent_sets": [], rows: []}
+        inst_path = write(tmp_path, "inst.json", doc)
+        proc = run_cli("approximate", inst_path, "--epsilon", "1/2",
+                       "--out", str(tmp_path / "set.json"))
+        self.assert_refused(proc)
+        assert "no arcs, items or elements" in proc.stderr
 
 
 def fitted_set(tmp_path, capsys):
