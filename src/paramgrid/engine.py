@@ -177,7 +177,8 @@ def approximate(
     # same solution is filled with it: f(x, .) is affine and f_opt concave
     # (min) or convex (max), so x stays alpha-approximate inside the box.
     # Otherwise the longest side is halved; the halves share the middle line.
-    filled: dict[GridIndex, SolutionRecord] = {}
+    # The walk writes into the table laid out in set-file (lexicographic) order.
+    entries: dict[GridIndex, SolutionRecord] = dict.fromkeys(spec.indices())
     stack = [((spec.lb,) * instance.K, (spec.ub,) * instance.K)]
     while stack:
         lo, hi = stack.pop()
@@ -187,16 +188,15 @@ def approximate(
         if longest <= 1:
             continue  # every point of the box is a corner, so it is solved
         if all(rec is corners[0] for rec in corners):
-            box = product(*(range(l, h + 1) for l, h in zip(lo, hi)))
-            filled.update(dict.fromkeys(box, corners[0]))
+            for idx in product(*(range(l, h + 1) for l, h in zip(lo, hi))):
+                entries[idx] = corners[0]
             continue
         k = sides.index(longest)
         mid = (lo[k] + hi[k]) // 2
         stack.append((lo, hi[:k] + (mid,) + hi[k + 1 :]))
         stack.append((lo[:k] + (mid,) + lo[k + 1 :], hi))
 
-    filled.update(solved)  # a solved point keeps the oracle's own answer
-    entries = {idx: filled[idx] for idx in spec.indices()}
+    entries.update(solved)  # a solved point keeps the oracle's own answer
     # distinct solutions in order of first appearance in lexicographic index order
     solutions = tuple({id(rec): rec for rec in entries.values()}.values())
 

@@ -25,7 +25,9 @@ class GridCapError(ParamGridError):
     """The requested grid exceeds the configured enumeration cap."""
 
     def __init__(self, size: int, cap: int):
-        super().__init__(f"grid has {size} points, exceeding the cap of {cap}")
+        # str() of a size past 4,300 digits raises, so name big ones by bit length
+        shown = size if size.bit_length() <= 64 else f"at least 2^{size.bit_length() - 1}"
+        super().__init__(f"grid has {shown} points, exceeding the cap of {cap}")
         self.size = size
         self.cap = cap
 

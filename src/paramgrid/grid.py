@@ -40,11 +40,11 @@ class GridSpec:
 
     The four init fields take ints, 'p/q' strings or Fractions (any sequence
     for ``lambda_min``); ``base`` = 1 + eps/2 and the exponent range
-    [lb, ub] follow from them.  Float logarithms whose fractional part is
-    within ``TIE_TOLERANCE`` of an integer are widened by one outward; an
-    exact rational check afterwards guarantees base^lb <= c^K/(K+1)! and
-    base^ub >= (K+1)!/c^K regardless of float rounding.  As c^K/(K+1)! < 1/2,
-    every grid has lb <= -1 and ub >= 1.
+    [lb, ub] follow from them.  The box's bounds are reciprocal, so lb = -ub.
+    A float estimate of log_base((K+1)!/c^K) within ``TIE_TOLERANCE`` of an
+    integer is widened by one outward; an exact rational check afterwards
+    guarantees base^ub >= (K+1)!/c^K, hence base^lb <= c^K/(K+1)!, regardless
+    of float rounding.  As c^K/(K+1)! < 1/2, every grid has lb <= -1 and ub >= 1.
     """
 
     c: Fraction
@@ -63,26 +63,16 @@ class GridSpec:
         if not (0 < ee < 1):
             raise DomainError(f"eps must lie in (0,1), got {ee}")
         base = 1 + ee / 2
-        small, big = compact_box(cc, self.K)
-        log_base = _float_log(base)
-
-        x = _float_log(small) / log_base
-        if abs(x - round(x)) < TIE_TOLERANCE:
-            lb = round(x) - 1
-        else:
-            lb = math.floor(x)
-        y = _float_log(big) / log_base
+        big = compact_box(cc, self.K)[1]
+        y = _float_log(big) / _float_log(base)
         if abs(y - round(y)) < TIE_TOLERANCE:
             ub = round(y) + 1
         else:
             ub = math.ceil(y)
-
-        while base**lb > small:
-            lb -= 1
         while base**ub < big:
             ub += 1
         lambda_min = as_vector(self.lambda_min, self.K)
-        derived = dict(c=cc, eps=ee, lambda_min=lambda_min, base=base, lb=lb, ub=ub)
+        derived = dict(c=cc, eps=ee, lambda_min=lambda_min, base=base, lb=-ub, ub=ub)
         for name, value in derived.items():  # the dataclass is frozen
             object.__setattr__(self, name, value)
 

@@ -137,12 +137,13 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
 def _read_json(path: str) -> Any:
     """The JSON document at ``path``; a file that is not UTF-8 JSON is invalid.
 
-    ``OSError`` (a missing file, a directory) passes through unchanged.
+    So is an integer literal past Python's int-to-string digit limit (a
+    ``ValueError``).  ``OSError`` (a missing file, a directory) passes through.
     """
     with open(path, encoding="utf-8") as handle:
         try:
             return json.load(handle)
-        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:
             raise InvalidInstanceError(f"invalid JSON in {path}: {exc}") from exc
 
 

@@ -2,6 +2,7 @@ import cProfile
 import fractions
 import pstats
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -154,6 +155,8 @@ class TestBoxFilling:
             aset = approximate(inst, eps, oracle)
             reference = full_grid_entries(inst, aset.spec, oracle)
             assert aset.entries.keys() == reference.keys()
+            # set files store the cells in this order
+            assert list(aset.entries) == list(aset.spec.indices())
             records = enumerate_solutions(inst)
             pick = min if inst.sense is Sense.MIN else max
             for idx, rec in aset.entries.items():
@@ -197,6 +200,26 @@ class TestBoxFilling:
                 single_solution_instance(), F(1, 100), Oracle(fn=counting, alpha=F(1)), grid_cap=10
             )
         assert seen == []
+
+    def test_peak_memory_is_about_one_table(self):
+        # one solution fills the whole grid from its corners, so the table
+        # is nearly all the fit allocates; both sizes come from one process
+        rec = SolutionRecord(encoding=("explicit", "only"), F=(F(2), F(1), F(3)))
+        inst = explicit_instance([rec], K=2)
+        spec = approximate(inst, F(1, 4)).spec
+        assert spec.size == 21_025
+        tracemalloc.start()
+        try:
+            table = dict.fromkeys(spec.indices())
+            table_bytes = tracemalloc.get_traced_memory()[0]
+            del table
+            tracemalloc.stop()
+            tracemalloc.start()
+            approximate(inst, F(1, 4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * table_bytes
 
 
 class TestQuery:

@@ -79,6 +79,7 @@ class TestDerivedGrid:
         base, lb, ub = spec.base, spec.lb, spec.ub
         small = c**K / factorial(K + 1)
         assert base == 1 + eps / 2
+        assert lb == -ub
         # the range brackets the box, widened by at most one step at a tie
         assert base**lb <= small < base ** (lb + 2)
         assert base ** (ub - 2) < 1 / small <= base**ub

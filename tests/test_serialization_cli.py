@@ -448,10 +448,11 @@ def run_cli(*args: str, timeout: float = 10):
 
 
 class TestHostileSizes:
-    """Small inputs whose literal or K would cost time far beyond their size exit 2 at once."""
+    """Small inputs whose literal, integer or K would cost time far beyond their
+    size, or overflow a message, get their exit code and one error line at once."""
 
-    def assert_refused(self, proc):
-        assert proc.returncode == 2, proc.stderr
+    def assert_refused(self, proc, code=2):
+        assert proc.returncode == code, proc.stderr
         assert [line for line in proc.stderr.splitlines() if "error:" in line] == [
             proc.stderr.splitlines()[-1]
         ], proc.stderr
@@ -466,6 +467,31 @@ class TestHostileSizes:
         proc = run_cli("query", str(tmp_path / "set.json"), inst_path, "--lam", "1e100000000")
         self.assert_refused(proc)
         assert "exponent notation" in proc.stderr
+
+    def test_long_integer_in_instance_file(self, tmp_path):
+        # json.load refuses an integer past Python's 4,300-digit limit with ValueError
+        text = json.dumps({**TOY_KNAPSACK, "budget": "BIG"}).replace('"BIG"', "9" * 4400)
+        (tmp_path / "inst.json").write_text(text, encoding="utf-8")
+        self.assert_refused(run_cli("approximate", str(tmp_path / "inst.json"),
+                                    "--epsilon", "1/2", "--out", str(tmp_path / "set.json")))
+
+    def test_long_integer_in_set_file(self, tmp_path, capsys):
+        inst_path, doc = fitted_set(tmp_path, capsys)
+        doc["cells"][0] = "BIG"
+        text = json.dumps(doc).replace('"BIG"', "1" * 4400)
+        (tmp_path / "big.json").write_text(text, encoding="utf-8")
+        self.assert_refused(run_cli("query", str(tmp_path / "big.json"), inst_path,
+                                    "--lam", "1"))
+
+    def test_grid_size_past_the_digit_limit(self, tmp_path):
+        # K = 5,000 gives a grid size of about 28,000 digits
+        K = 5000
+        doc = {"problem": "explicit", "K": K, "sense": "minimize",
+               "solutions": [{"id": "only", "F": ["1"] * (K + 1)}]}
+        proc = run_cli("approximate", write(tmp_path, "inst.json", doc), "--epsilon", "1/2",
+                       "--out", str(tmp_path / "set.json"))
+        self.assert_refused(proc, code=4)
+        assert "at least 2^" in proc.stderr
 
     @pytest.mark.parametrize(
         "K, lambda_min",
