@@ -7,12 +7,13 @@ fact checks) and ``fixtures list``.
 
 Exit codes (``EXIT_CODES``): 0 success, 2 schema or usage error (argparse
 exits 2 on a bad flag, such as ``--samples 0`` or a rational in exponent
-notation), a set whose solutions are not the instance's own, or a path that
-cannot be read or written, 3 accuracy parameter out of range,
-4 grid cap exceeded, 5 parameter vector below its domain, 6 verification
-failed (the report is still written), 7 instance too large for the exhaustive
-reference that ``verify`` enumerates, or for the cover search of fixture
-``section3`` (K at most 11).
+notation), a set whose solutions are not the instance's own or whose grid is
+not the instance's, an independence ``alpha`` below the system's rank
+quotient, or a path that cannot be read or written, 3 accuracy parameter
+out of range, 4 grid cap exceeded, 5 parameter vector below its domain,
+6 verification failed (the report is still written), 7 instance too large
+for the exhaustive reference that ``verify`` enumerates, or for the cover
+search of fixture ``section3`` (K at most 11).
 """
 from __future__ import annotations
 
@@ -151,11 +152,12 @@ def _cmd_approximate(args) -> int:
 
 
 def _check_pairing(aset: engine.ApproximationSet, instance) -> None:
-    """Refuse a set fitted for another instance; its cells would answer wrongly."""
-    fitted = (aset.spec.K, aset.sense, aset.spec.lambda_min)
-    if fitted != (instance.K, instance.sense, instance.lambda_min):
+    """Refuse a set fitted for another instance: its grid is not the one the instance gives."""
+    # K first: the instance's grid is only built for the set's K
+    same_kind = (aset.spec.K, aset.sense) == (instance.K, instance.sense)
+    if not same_kind or aset.spec != engine.grid_spec(instance, aset.eps, aset.alpha):
         raise InvalidInstanceError(
-            "approximation set does not match the instance (K, sense or lambda_min differ)"
+            "approximation set does not match the instance (K, sense, lambda_min or c differ)"
         )
 
 
@@ -163,7 +165,8 @@ def _cmd_query(args) -> int:
     aset = serialization.load_approximation_set(args.set)
     instance = serialization.load_instance(args.instance)
     _check_pairing(aset, instance)
-    rec = engine.query(aset, instance, args.lam)
+    own = {rec.encoding: oracle.instance_solution(instance, rec) for rec in aset.solutions}
+    rec = own[engine.query(aset, instance, args.lam).encoding]
     doc = {
         "solution": serialization.solution_to_json(rec),
         "lambda": [serialization.frac_str(v) for v in args.lam],

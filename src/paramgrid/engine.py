@@ -18,7 +18,7 @@ from itertools import product
 from typing import Callable, Sequence
 
 from .errors import EpsilonRangeError, GridCapError, InvalidInstanceError, OracleError
-from .grid import GridIndex, GridSpec
+from .grid import GridIndex, GridSpec, fewest_points_exceed
 from .model import (
     ExplicitList,
     Lambda,
@@ -115,6 +115,17 @@ class ApproximationSet:
         return (1 + self.eps) * self.alpha
 
 
+def grid_spec(instance: ProblemInstance, eps: Fraction, alpha: Fraction) -> GridSpec:
+    """The grid of accuracy ``eps`` for an alpha-oracle on ``instance``.
+
+    With eps' = eps/2 and beta = (1 + eps') * alpha, the threshold is
+    c = threshold(eps', beta, LB, UB).
+    """
+    eps_prime = eps / 2
+    c = threshold(eps_prime, (1 + eps_prime) * alpha, instance.LB, instance.UB)
+    return GridSpec(c, instance.K, eps, instance.lambda_min)
+
+
 def approximate(
     instance: ProblemInstance,
     eps: RationalLike,
@@ -140,6 +151,8 @@ def approximate(
     requested = as_fraction(eps)
     if not (0 < requested < 1):
         raise EpsilonRangeError(f"eps must lie in (0,1), got {requested}")
+    if fewest_points_exceed(instance.K, grid_cap):  # before any exact power of the grid
+        raise GridCapError(3**instance.K, grid_cap, least=True)
     if oracle is None:
         oracle = default_oracle(instance)
     if isinstance(oracle, OracleFamily):
@@ -150,12 +163,7 @@ def approximate(
     else:
         run_eps = requested
     alpha = oracle.alpha
-
-    eps_prime = run_eps / 2
-    beta = (1 + eps_prime) * alpha
-    c = threshold(eps_prime, beta, instance.LB, instance.UB)
-    spec = GridSpec(c, instance.K, run_eps, instance.lambda_min)
-
+    spec = grid_spec(instance, run_eps, alpha)
     if spec.size > grid_cap:
         raise GridCapError(spec.size, grid_cap)
     # one record object per distinct solution, so corners compare by identity

@@ -22,11 +22,17 @@ class EpsilonRangeError(ParamGridError):
 
 
 class GridCapError(ParamGridError):
-    """The requested grid exceeds the configured enumeration cap."""
+    """The requested grid exceeds the configured enumeration cap.
 
-    def __init__(self, size: int, cap: int):
+    ``size`` is the grid's point count, or with ``least`` a lower bound on it.
+    """
+
+    def __init__(self, size: int, cap: int, *, least: bool = False):
         # str() of a size past 4,300 digits raises, so name big ones by bit length
-        shown = size if size.bit_length() <= 64 else f"at least 2^{size.bit_length() - 1}"
+        if size.bit_length() > 64:
+            shown = f"at least 2^{size.bit_length() - 1}"
+        else:
+            shown = f"at least {size}" if least else str(size)
         super().__init__(f"grid has {shown} points, exceeding the cap of {cap}")
         self.size = size
         self.cap = cap

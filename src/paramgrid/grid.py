@@ -139,6 +139,15 @@ class GridSpec:
 GridIndex = tuple[int, ...]
 
 
+def fewest_points_exceed(K: int, limit: int) -> bool:
+    """Whether 3^K, the fewest points of any grid with K parameters, exceeds ``limit``.
+
+    Every grid spans at least 3 exponents per axis.  3^K > 2^K > limit once K
+    exceeds the bit length of ``limit``, so 3^K is only computed for small K.
+    """
+    return K > limit.bit_length() or 3**K > limit
+
+
 def grid_points(spec: GridSpec) -> Iterator[tuple[GridIndex, Lambda]]:
     """Stream (index, parameter vector) pairs in lexicographic index order."""
     for idx in spec.indices():

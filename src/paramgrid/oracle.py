@@ -45,6 +45,43 @@ MAX_INDEPENDENCE_ELEMENTS = 15
 FAR_FIELD_DECADES = (3, 6, 9)
 
 
+def _subset_family(payload: KnapsackData | IndependenceSystem) -> tuple:
+    """Ground-set size, enumeration cap, encoding kind, name and feasibility test."""
+    if isinstance(payload, KnapsackData):
+        feasible = lambda chosen: sum(payload.items[i].weight for i in chosen) <= payload.budget
+        return len(payload.items), MAX_KNAPSACK_ITEMS, "items", "subset", feasible
+    return payload.n, MAX_INDEPENDENCE_ELEMENTS, "elements", "independent-set", payload.independent
+
+
+def instance_solution(instance: ProblemInstance, rec: SolutionRecord) -> SolutionRecord:
+    """The instance's own solution with ``rec``'s encoding, its F rebuilt from the instance.
+
+    An explicit id is looked up; members or a cut's source side are checked
+    against the ground set and for feasibility, then rebuilt with
+    ``record_from_elements`` or ``cut_record``.  A solution the instance
+    lacks, or one whose F differs from ``rec``'s, is refused.
+    """
+    payload = instance.payload
+    kind, data = rec.encoding
+    own = None
+    if isinstance(payload, ExplicitList):
+        own = next((r for r in payload.records if r.encoding == rec.encoding), None)
+    elif isinstance(payload, CutGraph) and kind == "cut":
+        side = set(data)
+        if side <= set(range(payload.n)) and payload.s in side and payload.t not in side:
+            own = cut_record(instance, side)
+    elif isinstance(payload, (KnapsackData, IndependenceSystem)):
+        n, _, family_kind, _, feasible = _subset_family(payload)
+        if kind == family_kind and set(data) <= set(range(n)) and feasible(data):
+            own = record_from_elements(payload, instance.lambda_min, kind, data)
+    if own != rec:
+        F = ", ".join(map(str, rec.F))
+        raise InvalidInstanceError(
+            f"solution {rec.label} with F = ({F}) is not a solution of the instance"
+        )
+    return own
+
+
 def enumerate_solutions(instance: ProblemInstance) -> tuple[SolutionRecord, ...]:
     """Every feasible solution of an enumerable instance, deterministic order."""
     payload = instance.payload
@@ -59,14 +96,9 @@ def enumerate_solutions(instance: ProblemInstance) -> tuple[SolutionRecord, ...]
             side = {payload.s} | {others[i] for i in range(len(others)) if mask >> i & 1}
             records.append(cut_record(instance, side))
         return tuple(records)
-    if isinstance(payload, KnapsackData):
-        n, cap, kind, what = len(payload.items), MAX_KNAPSACK_ITEMS, "items", "subset"
-        feasible = lambda chosen: sum(payload.items[i].weight for i in chosen) <= payload.budget
-    elif isinstance(payload, IndependenceSystem):
-        n, cap, kind, what = payload.n, MAX_INDEPENDENCE_ELEMENTS, "elements", "independent-set"
-        feasible = payload.independent
-    else:
+    if not isinstance(payload, (KnapsackData, IndependenceSystem)):
         raise TooLargeError(f"cannot enumerate payload type {type(payload).__name__}")
+    n, cap, kind, what, feasible = _subset_family(payload)
     if n > cap:
         raise TooLargeError(f"{what} enumeration needs n <= {cap}")
     records = []

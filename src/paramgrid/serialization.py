@@ -12,9 +12,10 @@ from typing import Any
 
 from .engine import ApproximationSet
 from .errors import DomainError, InvalidInstanceError
-from .grid import GridSpec
+from .grid import GridSpec, fewest_points_exceed
 from .model import ProblemInstance, Sense, SolutionRecord, as_fraction, explicit_instance
-from .solvers.independence import from_generators, independence_instance
+from .oracle import MAX_INDEPENDENCE_ELEMENTS
+from .solvers.independence import from_generators, independence_instance, rank_quotient_exact
 from .solvers.knapsack import knapsack_data, knapsack_instance
 from .solvers.mincut import cut_graph, mincut_instance
 
@@ -127,6 +128,12 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
         ]
         alpha = parse_frac(doc.get("alpha", 1))
         system = from_generators(n, generators, elements, K, declared_alpha=alpha)
+        # greedy is alpha-approximate for every profit vector only if alpha is at
+        # least the rank quotient; past the enumeration cap the file is trusted
+        if n <= MAX_INDEPENDENCE_ELEMENTS and alpha < (quotient := rank_quotient_exact(system)):
+            raise InvalidInstanceError(
+                f"alpha {alpha} is below the independence system's rank quotient {quotient}"
+            )
         return independence_instance(system, lambda_min=lambda_min)
 
     raise InvalidInstanceError(
@@ -227,11 +234,9 @@ def approximation_set_from_dict(doc: dict) -> ApproximationSet:
     lambda_min = [parse_frac(v) for v in _list(_require(doc, "lambda_min"), "lambda_min")]
     cells = _list(_require(doc, "cells"), "cells")
     # GridSpec's cost grows with K, so K is checked against the data first.
-    # Every grid spans at least 3 exponents per axis; 3^K > len(cells) when
-    # K exceeds its bit length, so 3^K is only computed for small K.
     if len(lambda_min) != K:
         raise InvalidInstanceError(f"lambda_min has {len(lambda_min)} entries, expected K = {K}")
-    if K > len(cells).bit_length() or 3**K > len(cells):
+    if fewest_points_exceed(K, len(cells)):
         raise InvalidInstanceError(
             f"cells has {len(cells)} entries, fewer than the 3^K points of any grid with K = {K}"
         )

@@ -86,82 +86,61 @@ def mincut_instance(
     return structured_instance(graph, Sense.MIN, lambda_min=lambda_min)
 
 
-class _Dinic:
-    def __init__(self, n: int):
-        self.n = n
-        self.head: list[list[int]] = [[] for _ in range(n)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
+def _source_side(n: int, arcs: Iterable[tuple[int, int, int]], s: int, t: int) -> frozenset[int]:
+    """Source side of the minimum s-t cut; each arc is (tail, head, positive capacity).
 
-    def add(self, u: int, v: int, cap: int):
-        self.head[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(cap)
-        self.head[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(0)
-
-    def _levels(self, s: int, t: int) -> list[int] | None:
-        level = [-1] * self.n
+    Blocking-flow phases (Dinitz 1970): a BFS levels the residual graph, then
+    paths are pushed depth-first along the ``it`` pointers with an explicit
+    edge stack (no recursion), a dead end advancing its parent's pointer.
+    The BFS that misses t has levelled the residual reachable set: the cut.
+    """
+    head: list[list[int]] = [[] for _ in range(n)]
+    to: list[int] = []
+    cap: list[int] = []
+    for u, v, c in arcs:  # arc e and its reverse e ^ 1
+        head[u].append(len(to))
+        to.append(v)
+        cap.append(c)
+        head[v].append(len(to))
+        to.append(u)
+        cap.append(0)
+    while True:
+        level = [-1] * n
         level[s] = 0
         queue = deque([s])
         while queue:
             u = queue.popleft()
-            for e in self.head[u]:
-                v = self.to[e]
-                if level[v] < 0 and self.cap[e] > 0:
+            for e in head[u]:
+                v = to[e]
+                if level[v] < 0 and cap[e] > 0:
                     level[v] = level[u] + 1
                     queue.append(v)
-        return level if level[t] >= 0 else None
-
-    def _push(self, s: int, t: int, level: list[int], it: list[int]) -> int:
-        """Augment one s-t path of the level graph; 0 once the flow is blocking.
-
-        Depth-first along the ``it`` pointers with an explicit edge stack, so
-        deep level graphs need no recursion.  A dead end advances its parent's
-        pointer; the edges of an augmenting path keep theirs.
-        """
+        if level[t] < 0:
+            return frozenset(v for v in range(n) if level[v] >= 0)
+        it = [0] * n
         path: list[int] = []
         u = s
-        while u != t:
-            edges = self.head[u]
+        while True:
+            if u == t:
+                pushed = min(cap[e] for e in path)
+                for e in path:
+                    cap[e] -= pushed
+                    cap[e ^ 1] += pushed
+                path.clear()
+                u = s
+            edges = head[u]
             while it[u] < len(edges):
                 e = edges[it[u]]
-                if self.cap[e] > 0 and level[self.to[e]] == level[u] + 1:
+                if cap[e] > 0 and level[to[e]] == level[u] + 1:
                     path.append(e)
-                    u = self.to[e]
+                    u = to[e]
                     break
                 it[u] += 1
             else:
                 if not path:
-                    return 0
-                u = self.to[path.pop() ^ 1]
+                    break  # the flow is blocking
+                u = to[path.pop() ^ 1]
                 it[u] += 1
-        pushed = min(self.cap[e] for e in path)
-        for e in path:
-            self.cap[e] -= pushed
-            self.cap[e ^ 1] += pushed
-        return pushed
-
-    def max_flow(self, s: int, t: int) -> int:
-        flow = 0
-        while (level := self._levels(s, t)) is not None:
-            it = [0] * self.n
-            while pushed := self._push(s, t, level, it):
-                flow += pushed
-        return flow
-
-    def residual_side(self, s: int) -> frozenset[int]:
-        seen = {s}
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for e in self.head[u]:
-                v = self.to[e]
-                if v not in seen and self.cap[e] > 0:
-                    seen.add(v)
-                    queue.append(v)
-        return frozenset(seen)
 
 
 def cut_record(instance: ProblemInstance, source_side: Iterable[int]) -> SolutionRecord:
@@ -181,12 +160,11 @@ def min_cut_solve(instance: ProblemInstance, lam: Sequence[RationalLike]) -> Sol
     """Minimum-cost s-t cut at a fixed parameter vector; exact."""
     vec = check_lambda(instance, lam)
     graph: CutGraph = instance.payload
-    net = _Dinic(graph.n)
     costs, D = scaled_costs(graph.cost_rows(), vec)
+    arcs = []
     for arc, cost in zip(graph.arcs, costs):
         if cost < 0:
             raise DomainError(f"arc cost {Fraction(cost, D)} negative at lambda={vec}")
         if cost > 0:
-            net.add(arc.tail, arc.head, cost)
-    net.max_flow(graph.s, graph.t)
-    return cut_record(instance, net.residual_side(graph.s))
+            arcs.append((arc.tail, arc.head, cost))
+    return cut_record(instance, _source_side(graph.n, arcs, graph.s, graph.t))

@@ -302,6 +302,86 @@ class TestCli:
                                                    "budget": 4, "items": items})
         assert main(["verify", roomier, "--beta", "1", "--samples", "50", "--set", set_path]) == 6
 
+    def test_alpha_below_rank_quotient_refused(self, tmp_path, capsys):
+        # greedy takes {0} at profits 10, 6, 6 where {1, 2} is worth 12: the rank
+        # quotient is 2, so a declared alpha of 1 would print a false guarantee 3/2
+        doc = {"problem": "independence", "K": 1, "alpha": "1",
+               "elements": [{"a": 10, "b": [0]}, {"a": 6, "b": [1]}, {"a": 6, "b": [1]}],
+               "independent_sets": [[0], [1, 2]]}
+        argv = ["approximate", None, "--epsilon", "1/2", "--out", str(tmp_path / "set.json")]
+        argv[1] = write(tmp_path, "inst.json", doc)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: alpha 1 is below the independence system's rank quotient 2\n"
+        argv[1] = write(tmp_path, "inst.json", {**doc, "alpha": "2"})
+        assert main(argv) == 0
+
+    def test_query_values_from_the_instance(self, tmp_path, capsys):
+        # every F is replaced by (10^6, 10^6): query would print 9010000000/9 from the file
+        items = [{"a": 9, "b": [1], "weight": 2}, {"a": 1, "b": [9], "weight": 2}]
+        inst_path = write(tmp_path, "inst.json", {"problem": "knapsack", "K": 1,
+                                                   "budget": 2, "items": items})
+        set_path = str(tmp_path / "set.json")
+        assert main(["approximate", inst_path, "--epsilon", "1/2", "--out", set_path]) == 0
+        capsys.readouterr()
+        assert main(["query", set_path, inst_path, "--lam", "1000"]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == "9001"
+        doc = json.loads((tmp_path / "set.json").read_text())
+        for solution in doc["solutions"]:
+            solution["F"] = ["1000000", "1000000"]
+        tampered = write(tmp_path, "tampered.json", doc)
+        assert main(["query", tampered, inst_path, "--lam", "1000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: solution items:") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize(
+        "encoding, F",
+        [({"kind": "items", "members": [0, 1]}, ["5", "5"]),  # the F the two items sum to
+         ({"kind": "items", "members": [2]}, None), ({"kind": "items", "members": [-1]}, None),
+         ({"kind": "elements", "members": [0]}, None), ({"kind": "explicit", "id": "0"}, None)],
+        ids=["over-budget", "member-past-end", "member-negative", "other-kind", "explicit-id"],
+    )
+    def test_query_refuses_a_solution_the_instance_lacks(self, tmp_path, capsys, encoding, F):
+        inst_path, doc = fitted_set(tmp_path, capsys)
+        doc["solutions"][0]["encoding"] = encoding
+        doc["solutions"][0]["F"] = F or doc["solutions"][0]["F"]
+        assert main(["query", write(tmp_path, "bad.json", doc), inst_path, "--lam", "1"]) == 2
+        assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda doc: doc["solutions"][0]["encoding"].update(members=[0, 2]),
+         lambda doc: doc["solutions"][0]["encoding"].update(members=[1]),
+         lambda doc: doc["solutions"][0]["encoding"].update(members=[0, 1, 2, 3])],
+        ids=["sink-on-source-side", "source-missing", "vertex-past-end"],
+    )
+    def test_query_refuses_a_cut_the_graph_lacks(self, tmp_path, capsys, edit):
+        inst_path = write(tmp_path, "inst.json", TOY_MINCUT)
+        set_path = str(tmp_path / "set.json")
+        assert main(["approximate", inst_path, "--epsilon", "1/2", "--out", set_path]) == 0
+        capsys.readouterr()
+        doc = json.loads((tmp_path / "set.json").read_text())
+        edit(doc)
+        assert main(["query", write(tmp_path, "bad.json", doc), inst_path, "--lam", "1"]) == 2
+        assert_one_error_line(capsys)
+
+    def test_set_for_another_grid_refused(self, tmp_path, capsys):
+        # same K, sense and lambda_min (-1/9), but other LB and UB, so another c:
+        # the set's cells would answer item 0 (value 10) where the optimum is 100
+        items = [{"a": 9, "b": [1], "weight": 2}, {"a": 1, "b": [9], "weight": 2}]
+        inst_path = write(tmp_path, "inst.json", {"problem": "knapsack", "K": 1,
+                                                   "budget": 2, "items": items})
+        set_path = str(tmp_path / "set.json")
+        assert main(["approximate", inst_path, "--epsilon", "1/2", "--out", set_path]) == 0
+        capsys.readouterr()
+        others = [{"a": 1, "b": [9], "weight": 2}, {"a": 50, "b": [50], "weight": 2}]
+        other_path = write(tmp_path, "other.json", {"problem": "knapsack", "K": 1,
+                                                     "budget": 2, "items": others})
+        assert main(["query", set_path, other_path, "--lam", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "does not match the instance" in err, err
+        assert err.count("\n") == 1, err
+
     def test_exit_code_too_large(self, tmp_path, capsys):
         # an 11-vertex path cut fits fine, but verify's reference enumerates n <= 10 vertices
         path_cut = {
@@ -492,6 +572,17 @@ class TestHostileSizes:
                        "--out", str(tmp_path / "set.json"))
         self.assert_refused(proc, code=4)
         assert "at least 2^" in proc.stderr
+
+    def test_grid_refused_before_its_exact_powers(self, tmp_path):
+        # 3^K, the fewest points of any K-parameter grid, is past the cap; the
+        # grid's own range would take seconds of exact powers to build
+        K = 100_000
+        doc = {"problem": "explicit", "K": K, "sense": "minimize",
+               "solutions": [{"id": "only", "F": ["1"] * (K + 1)}]}
+        proc = run_cli("approximate", write(tmp_path, "inst.json", doc), "--epsilon", "1/2",
+                       "--out", str(tmp_path / "set.json"), timeout=4)
+        self.assert_refused(proc, code=4)
+        assert f"at least 2^{(3**K).bit_length() - 1} points" in proc.stderr
 
     @pytest.mark.parametrize(
         "K, lambda_min",

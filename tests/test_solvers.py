@@ -60,6 +60,16 @@ class TestMinCut:
         assert rec.encoding == ("cut", (0,))
         assert evaluate(inst, rec, [F(0)]) == 1
 
+    def test_cut_reaches_through_reverse_residual_arcs(self):
+        # the first path 0-1-2-4 saturates 2 -> 4; vertex 1 stays on the source
+        # side only through the reverse residual arc 2 -> 1, and the cut costs 1
+        arcs = [(0, 1, 1, (0,)), (1, 2, 1, (0,)), (2, 4, 1, (0,)), (0, 3, 1, (0,)),
+                (3, 2, 1, (0,))]
+        inst = mincut_instance(cut_graph(5, arcs, 0, 4, 1), lambda_min=[0])
+        rec = min_cut_solve(inst, [F(0)])
+        assert rec.encoding == ("cut", (0, 1, 2, 3))
+        assert evaluate(inst, rec, [F(0)]) == 1
+
     def test_negative_cost_reported_as_rational(self):
         # built directly: the factories refuse a lambda_min this small
         graph = cut_graph(2, [(0, 1, 0, (2,))], 0, 1, 1)
