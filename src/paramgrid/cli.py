@@ -12,7 +12,8 @@ not the instance's, an independence ``alpha`` below the system's rank
 quotient, or a path that cannot be read or written, 3 accuracy parameter
 out of range, 4 grid cap exceeded, 5 parameter vector below its domain,
 6 verification failed (the report is still written), 7 instance too large
-for the exhaustive reference that ``verify`` enumerates, or for the cover
+for the exhaustive reference that ``verify`` enumerates, for the knapsack DP
+table of ``approximate`` (``engine.MAX_KNAPSACK_CELLS``), or for the cover
 search of fixture ``section3`` (K at most 11).
 """
 from __future__ import annotations

@@ -17,7 +17,13 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable, Sequence
 
-from .errors import EpsilonRangeError, GridCapError, InvalidInstanceError, OracleError
+from .errors import (
+    EpsilonRangeError,
+    GridCapError,
+    InvalidInstanceError,
+    OracleError,
+    TooLargeError,
+)
 from .grid import GridIndex, GridSpec, fewest_points_exceed
 from .model import (
     ExplicitList,
@@ -36,6 +42,9 @@ OracleFn = Callable[[ProblemInstance, Lambda], SolutionRecord]
 
 #: Default refusal threshold of ``approximate`` for the grid size.
 DEFAULT_GRID_CAP = 10**8
+
+#: ``default_oracle`` refuses a knapsack whose DP table (items times capacity + 1) is larger.
+MAX_KNAPSACK_CELLS = 10**7
 
 
 @dataclass(frozen=True)
@@ -75,6 +84,11 @@ def default_oracle(instance: ProblemInstance) -> Oracle:
     if isinstance(payload, CutGraph):
         return Oracle(fn=min_cut_solve, alpha=Fraction(1), name="mincut-blocking-flow")
     if isinstance(payload, KnapsackData):
+        cells = len(payload.items) * (payload.capacity + 1)
+        if cells > MAX_KNAPSACK_CELLS:
+            raise TooLargeError(
+                f"knapsack DP table has {cells} cells, exceeding the cap of {MAX_KNAPSACK_CELLS}"
+            )
         return Oracle(fn=knapsack_solve, alpha=Fraction(1), name="knapsack-dp")
     if isinstance(payload, IndependenceSystem):
         return Oracle(fn=greedy_solve, alpha=payload.declared_alpha, name="greedy")

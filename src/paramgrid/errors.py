@@ -47,9 +47,14 @@ class TooLargeError(ParamGridError):
 
 
 class OracleError(ParamGridError):
-    """The solver failed at a specific parameter vector during a grid run."""
+    """The solver failed at a specific parameter vector during a grid run.
+
+    The message shows lambda as rationals and the cause's message, or its
+    type when the message is empty (a ``MemoryError`` has none).
+    """
 
     def __init__(self, lam, cause):
-        super().__init__(f"oracle failed at lambda={lam}: {cause}")
+        shown = ", ".join(str(v) for v in lam)
+        super().__init__(f"oracle failed at lambda=({shown}): {str(cause) or type(cause).__name__}")
         self.lam = lam
         self.cause = cause

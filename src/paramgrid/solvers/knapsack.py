@@ -53,6 +53,11 @@ class KnapsackData:
         for item in self.items:
             yield item.a, item.b
 
+    @property
+    def capacity(self) -> int:
+        """The DP's largest weight: the budget, or the fitting items' total if smaller."""
+        return min(self.budget, sum(it.weight for it in self.items if it.weight <= self.budget))
+
 
 def knapsack_data(
     items: Sequence[tuple[int, Sequence[int], int]], budget: int, K: int
@@ -82,13 +87,15 @@ def _subset_record(instance: ProblemInstance, chosen: Iterable[int]) -> Solution
 def knapsack_solve(instance: ProblemInstance, lam: Sequence[RationalLike]) -> SolutionRecord:
     """Maximum-profit feasible subset at a fixed parameter vector; exact.
 
-    Weight-indexed DP with exact integer profit comparisons.  Ties prefer
-    not taking an item, making the result deterministic.
+    Weight-indexed DP with exact integer profit comparisons, over weights up
+    to ``data.capacity``: past the fitting items' total weight every subset
+    fits, so a larger budget changes no answer.  Ties prefer not taking an
+    item, making the result deterministic.
     """
     data: KnapsackData = instance.payload
     profits = _profits(instance, lam)
     n = len(data.items)
-    W = data.budget
+    W = data.capacity
     best = [0] * (W + 1)
     take = [[False] * (W + 1) for _ in range(n)]
     for i, item in enumerate(data.items):

@@ -103,6 +103,17 @@ class TestApproximate:
             approximate(inst, F(1, 2), Oracle(fn=broken, alpha=F(1)))
         assert err.value.lam is not None
 
+    def test_oracle_failure_message(self):
+        # lambda reads as rationals; a cause with an empty message is named by its type
+        def broken(instance, lam):
+            raise ValueError()
+
+        with pytest.raises(OracleError) as err:
+            approximate(single_solution_instance(), F(1, 2), Oracle(fn=broken, alpha=F(1)))
+        (lam,) = err.value.lam
+        shown = f"{lam.numerator}/{lam.denominator}"
+        assert str(err.value) == f"oracle failed at lambda=({shown}): ValueError"
+
     def test_oracle_call_count_is_measured(self):
         inst = toy_knapsack()
         calls = 0

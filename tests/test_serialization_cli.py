@@ -573,6 +573,23 @@ class TestHostileSizes:
         self.assert_refused(proc, code=4)
         assert "at least 2^" in proc.stderr
 
+    def test_knapsack_budget_past_its_items_total(self, tmp_path):
+        # the DP spans the fitting items' total weight (2 cells here), not the budget
+        doc = {"problem": "knapsack", "K": 1, "budget": 10**12,
+               "items": [{"a": 1, "b": [1], "weight": 1}]}
+        proc = run_cli("approximate", write(tmp_path, "inst.json", doc), "--epsilon", "1/2",
+                       "--out", str(tmp_path / "set.json"))
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+
+    def test_knapsack_table_past_the_cell_cap(self, tmp_path):
+        doc = {"problem": "knapsack", "K": 1, "budget": 10**12,
+               "items": [{"a": 1, "b": [1], "weight": 10**12}]}
+        proc = run_cli("approximate", write(tmp_path, "inst.json", doc), "--epsilon", "1/2",
+                       "--out", str(tmp_path / "set.json"))
+        self.assert_refused(proc, code=7)
+        assert "knapsack DP table" in proc.stderr
+        assert not (tmp_path / "set.json").exists()
+
     def test_grid_refused_before_its_exact_powers(self, tmp_path):
         # 3^K, the fewest points of any K-parameter grid, is past the cap; the
         # grid's own range would take seconds of exact powers to build

@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from paramgrid import ProblemInstance, Sense, evaluate
 from paramgrid.errors import DomainError, TooLargeError
@@ -25,6 +26,7 @@ from conftest import (
     random_independence,
     random_knapsack,
     random_lambda,
+    rank_quotient_by_pairs,
 )
 
 
@@ -116,6 +118,19 @@ class TestKnapsack:
                 lam = random_lambda(rng, inst, spread=20)
                 rec = knapsack_solve(inst, lam)
                 assert evaluate(inst, rec, lam) == optimum_by_enumeration(inst, lam)
+
+    def test_budget_past_the_items_total_changes_no_answer(self, rng):
+        # the DP spans the fitting items' total weight, not a 10^12 budget
+        for _ in range(20):
+            inst = random_knapsack(rng, n=rng.randint(1, 8), K=rng.choice([1, 2]), cmax=9)
+            data = inst.payload
+            total = sum(item.weight for item in data.items)
+            rows = [(item.a, item.b, item.weight) for item in data.items]
+            huge = knapsack_instance(knapsack_data(rows, 10**12, data.K))
+            tight = knapsack_instance(knapsack_data(rows, total, data.K))
+            for _ in range(5):
+                lam = random_lambda(rng, inst, spread=20)
+                assert knapsack_solve(huge, lam) == knapsack_solve(tight, lam)
 
     def test_matches_enumeration_n15(self, rng):
         inst = random_knapsack(rng, n=15, K=1, cmax=12)
@@ -218,6 +233,15 @@ class TestRankQuotient:
     def test_single_element(self):
         system = from_generators(1, [[0]], [(1, (0,))], K=1)
         assert rank_quotient_exact(system) == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_pair_walk(self, data):
+        n = data.draw(st.integers(0, 10))
+        member = st.integers(0, max(n - 1, 0))
+        generators = data.draw(st.lists(st.sets(member, max_size=n), min_size=1, max_size=n + 1))
+        system = from_generators(n, generators, [(1, (0,))] * n, K=1)
+        assert rank_quotient_exact(system) == rank_quotient_by_pairs(system)
 
     def test_size_guard(self):
         n = 21
