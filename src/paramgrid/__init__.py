@@ -46,7 +46,6 @@ from .oracle import (
     ExhaustiveOracle,
     VerificationReport,
     enumerate_solutions,
-    minimum_cover_size,
     sample_parameters_labeled,
     verify_approximation_set,
     verify_on_weights,
@@ -95,7 +94,6 @@ __all__ = [
     "grid_points",
     "lambda_from_weight",
     "lift_to_cone",
-    "minimum_cover_size",
     "query",
     "sample_parameters_labeled",
     "snap",

@@ -13,8 +13,8 @@ quotient, or a path that cannot be read or written, 3 accuracy parameter
 out of range, 4 grid cap exceeded, 5 parameter vector below its domain,
 6 verification failed (the report is still written), 7 instance too large
 for the exhaustive reference that ``verify`` enumerates, for the knapsack DP
-table of ``approximate`` (``engine.MAX_KNAPSACK_CELLS``), or for the cover
-search of fixture ``section3`` (K at most 11).
+table of ``approximate`` (``solvers.knapsack.MAX_KNAPSACK_CELLS``), or for
+fixture ``section3`` (K at most ``fixtures.MAX_SECTION3_K``).
 """
 from __future__ import annotations
 
@@ -108,7 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="run a named fixture's fact checks instead")
     p_verify.add_argument("--beta", type=_parse_fraction_arg, required=True,
                           help="target approximation factor")
-    p_verify.add_argument("--K", type=int, help="parameter count (fixture section3, at most 11)")
+    p_verify.add_argument("--K", type=int, help="parameter count (fixture section3, "
+                                                  f"at most {fixtures.MAX_SECTION3_K})")
     p_verify.add_argument("--z0", type=_parse_fraction_arg, help="scale parameter (appendix fixtures)")
     p_verify.add_argument("--L", type=int, help="chain length (fixture appendix-proof)")
     p_verify.add_argument("--samples", type=_positive_int_arg, default=1000,

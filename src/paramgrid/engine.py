@@ -43,9 +43,6 @@ OracleFn = Callable[[ProblemInstance, Lambda], SolutionRecord]
 #: Default refusal threshold of ``approximate`` for the grid size.
 DEFAULT_GRID_CAP = 10**8
 
-#: ``default_oracle`` refuses a knapsack whose DP table (items times capacity + 1) is larger.
-MAX_KNAPSACK_CELLS = 10**7
-
 
 @dataclass(frozen=True)
 class Oracle:
@@ -75,7 +72,7 @@ def default_oracle(instance: ProblemInstance) -> Oracle:
     """Exact or declared-guarantee solver for the instance's payload family."""
     from .oracle import ExhaustiveOracle
     from .solvers.independence import IndependenceSystem, greedy_solve
-    from .solvers.knapsack import KnapsackData, knapsack_solve
+    from .solvers.knapsack import MAX_KNAPSACK_CELLS, KnapsackData, knapsack_solve
     from .solvers.mincut import CutGraph, min_cut_solve
 
     payload = instance.payload

@@ -5,7 +5,7 @@ cover construction:
 
 * ``section3``: one solution is beta-good everywhere yet never optimal, so
   any cover built from exact-oracle answers needs all K+1 remaining
-  solutions while the minimum cover is a singleton.
+  solutions while the minimum cover is a singleton; K <= ``MAX_SECTION3_K``.
 * ``appendix-example``: a published seven-solution instance where a smaller
   cover than claimed exists; every printed inequality is checked exactly.
 * ``appendix-proof``: the corrected chain of L solutions, each uniquely
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DomainError, InvalidInstanceError
+from .errors import DomainError, InvalidInstanceError, TooLargeError
 from .model import (
     ProblemInstance,
     Sense,
@@ -33,8 +33,7 @@ from .model import (
     augmented_evaluate,
     explicit_instance,
 )
-from .oracle import minimum_cover_size, verify_on_weights
-from .weights import lambda_from_weight
+from .oracle import verify_on_weights
 
 
 @dataclass
@@ -84,9 +83,32 @@ def _simplex_weights(rng: random.Random, dim: int, count: int) -> list[Weight]:
     return out
 
 
+def _separated(records: Sequence[SolutionRecord], witnesses: Sequence[Weight], factor) -> bool:
+    """Each record, times ``factor``, is strictly cheaper than every other at its own witness."""
+    return all(
+        factor * augmented_evaluate(records[i], w)
+        < min(augmented_evaluate(rec, w) for j, rec in enumerate(records) if j != i)
+        for i, w in enumerate(witnesses)
+    )
+
+
+def _each_needed(records: Sequence[SolutionRecord], witnesses: Sequence[Weight], beta) -> bool:
+    """Every record is needed: at its witness weight the others fail ``verify_on_weights``."""
+    instance = explicit_instance(records)
+    return not any(
+        verify_on_weights(instance, [*records[:i], *records[i + 1 :]], beta, [w]).passed
+        for i, w in enumerate(witnesses)
+    )
+
+
 # ---------------------------------------------------------------------------
 # section3: forced (K+1)-cover instance
 # ---------------------------------------------------------------------------
+
+
+#: Largest K that ``forced_cover_gadget`` builds.  ``paramgrid verify --fixture section3
+#: --K 100`` with the default 1,000 samples took 42 s at 28 MB max RSS (2-core Xeon).
+MAX_SECTION3_K = 100
 
 
 def forced_cover_gadget(beta, K: int) -> GadgetInstance:
@@ -95,13 +117,15 @@ def forced_cover_gadget(beta, K: int) -> GadgetInstance:
     The all-round solution is beta-approximate for every weight yet strictly
     suboptimal everywhere; the witness weights make each spike solution
     uniquely beta-good, so a cover avoiding the all-round solution needs all
-    K+1 spikes.
+    K+1 spikes.  A K above ``MAX_SECTION3_K`` raises ``TooLargeError``.
     """
     b = as_fraction(beta)
     if b <= 1:
         raise InvalidInstanceError("beta must exceed 1")
     if K < 1:
         raise InvalidInstanceError("K must be a positive integer")
+    if K > MAX_SECTION3_K:
+        raise TooLargeError(f"fixture section3 needs K <= {MAX_SECTION3_K}")
     allround = _explicit("x", [(K + 1) * b] * (K + 1))
     spikes = []
     for i in range(K + 1):
@@ -134,14 +158,7 @@ def _spike_witnesses(b: Fraction, K: int, spikes: list[SolutionRecord]) -> tuple
             w = [t / (K + 1)] * (K + 1)
             w[i] = 1 - K * t / (K + 1)
             witnesses.append(tuple(w))
-        ok = all(
-            b * augmented_evaluate(spikes[i], witnesses[i])
-            < augmented_evaluate(spikes[j], witnesses[i])
-            for i in range(K + 1)
-            for j in range(K + 1)
-            if j != i
-        )
-        if ok:
+        if _separated(spikes, witnesses, b):
             return tuple(witnesses)
         t /= 2
         if t == 0:  # pragma: no cover - continuity guarantees termination
@@ -179,17 +196,12 @@ def check_section3(beta, K: int, samples: int = 10_000, seed: int = 0) -> Fixtur
         )
     )
 
-    tail = explicit_instance(spikes, sense=Sense.MIN, K=K)
-    lam_witnesses = [
-        lambda_from_weight(w, gadget.instance.lambda_min)
-        for w in gadget.witnesses["spike"]
-    ]
-    size = minimum_cover_size(tail, b, lam_witnesses)
     facts.append(
         FactCheck(
             "forced-k-plus-1",
-            size == K + 1,
-            f"minimum cover over witness weights has size {size}, expected {K + 1}",
+            _each_needed(spikes, gadget.witnesses["spike"], b),
+            f"dropping any of the {K + 1} spikes fails beta at its witness weight, "
+            f"so every cover of the witnesses holds all {K + 1}",
         )
     )
     return FixtureReport("section3", {"beta": str(b), "K": K, "samples": samples, "seed": seed}, facts)
@@ -256,16 +268,10 @@ def check_appendix_example(beta, z0, samples: int = 10_000, seed: int = 0) -> Fi
     dominates = all(b * x.F[i] < rec.F[i] for rec in tail for i in (1, 2))
     facts.append(FactCheck("x-dominates-tail", dominates, "beta*F_i(x) < F_i(x^l), i=1,2"))
 
-    separation = all(
-        b * augmented_evaluate(tail[e], witnesses[e]) < augmented_evaluate(tail[m], witnesses[e])
-        for e in range(3)
-        for m in range(3)
-        if m != e
-    )
     facts.append(
         FactCheck(
             "pairwise-separation",
-            separation,
+            _separated(tail, witnesses, b),
             "each tail solution is uniquely beta-good at its printed weight",
         )
     )
@@ -303,16 +309,10 @@ def check_appendix_example(beta, z0, samples: int = 10_000, seed: int = 0) -> Fi
         )
     )
 
-    tail_instance = explicit_instance(xb, sense=Sense.MIN, K=2)
-    leave_one_out = True
-    for drop in range(3):
-        kept = [xb[i] for i in range(3) if i != drop]
-        report = verify_on_weights(tail_instance, kept, b, [witnesses[drop]])
-        leave_one_out &= not report.passed
     facts.append(
         FactCheck(
             "leave-one-out-fails",
-            leave_one_out,
+            _each_needed(xb, witnesses, b),
             "dropping any tail solution fails at its witness weight",
         )
     )
@@ -367,20 +367,10 @@ def check_appendix_proof(beta, z0, L: int) -> FixtureReport:
     dominates = all(b * star.F[i] < rec.F[i] for rec in chain for i in (1, 2))
     facts.append(FactCheck("star-dominates", dominates, "beta*F_i(x*) < F_i(x^l), i=1,2"))
 
-    factor = (b - 1) * z + b
-    separation = True
-    for e in range(L):
-        w = witnesses[e]
-        own = w[1] * chain[e].F[1] + w[2] * chain[e].F[2]
-        for mth in range(L):
-            if mth == e:
-                continue
-            other = w[1] * chain[mth].F[1] + w[2] * chain[mth].F[2]
-            separation &= factor * own < other
     facts.append(
         FactCheck(
             "chain-separation",
-            separation,
+            _separated(chain, witnesses, (b - 1) * z + b),
             "((beta-1)z0+beta)-scaled own value stays below every other chain value",
         )
     )

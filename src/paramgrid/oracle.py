@@ -11,7 +11,6 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Sequence
 
 from .engine import ApproximationSet, locate
@@ -124,7 +123,6 @@ class ExhaustiveOracle:
         records = enumerate_solutions(self.instance)
         flat, self._scale = _clear_denominators([v for rec in records for v in rec.F])
         rows = list(zip(*[iter(flat)] * (self.instance.K + 1)))  # K + 1 entries per row
-        self._rows = {rec.encoding: row for rec, row in zip(records, rows)}
         self._pick = min if self.instance.sense is Sense.MIN else max
         sign = 1 if self._pick is min else -1
         kept: list[tuple[tuple[int, ...], int]] = []
@@ -150,19 +148,10 @@ class ExhaustiveOracle:
         value = self._pick(values)
         return self._kept[values.index(value)], value
 
-    def _best(self, w: Sequence[int]) -> int:
-        """The optimal value at an integer weight, in the scale of ``_row``."""
-        return self._pick([sum(map(operator.mul, w, row)) for row in self._kept_rows])
-
     def _row(self, rec: SolutionRecord) -> tuple[int, ...]:
-        """The row of the instance's solution with ``rec``'s encoding and F; others are refused."""
-        row = self._rows.get(rec.encoding)
-        if row is None or tuple(v * self._scale for v in rec.F) != row:
-            F = ", ".join(map(str, rec.F))
-            raise InvalidInstanceError(
-                f"solution {rec.label} with F = ({F}) is not a solution of the instance"
-            )
-        return row
+        """``rec``'s row, rebuilt by ``instance_solution``, which refuses one the instance lacks."""
+        own = instance_solution(self.instance, rec)
+        return tuple(v.numerator * (self._scale // v.denominator) for v in own.F)
 
 
 def _fraction_in(rng: random.Random, lo: Fraction, hi: Fraction) -> Fraction:
@@ -324,7 +313,7 @@ def verify_approximation_set(
         vec = check_lambda(instance, lam)
         w, _, _, _, cell = locate(aset.spec, instance, vec)
         value = sum(map(operator.mul, w, rows[aset.entries[cell].encoding]))
-        probes.append((label, vec, _ratio(value, exact._best(w), instance.sense)))
+        probes.append((label, vec, _ratio(value, exact._argbest(w)[1], instance.sense)))
     return _report(beta, probes, "parameter")
 
 
@@ -348,45 +337,5 @@ def verify_on_weights(
             raise DomainError(f"weight length {len(w)} does not match {instance.K + 1} components")
         ints = _clear_denominators(w)[0]
         value = exact._pick(sum(map(operator.mul, ints, row)) for row in pool)
-        probes.append(("weights", w, _ratio(value, exact._best(ints), instance.sense)))
+        probes.append(("weights", w, _ratio(value, exact._argbest(ints)[1], instance.sense)))
     return _report(beta, probes, "weight")
-
-
-MAX_COVER_SOLUTIONS = 12
-
-
-def minimum_cover_size(
-    instance: ProblemInstance,
-    beta: RationalLike,
-    samples: Sequence[Lambda],
-) -> int:
-    """Smallest subset of X that is beta-approximate at every sample.
-
-    Exhaustive search in increasing cardinality; a lower bound on the true
-    minimum cover of the full parameter set.
-    """
-    b = as_fraction(beta)
-    exact = ExhaustiveOracle(instance)
-    rows = list(exact._rows.values())
-    if len(rows) > MAX_COVER_SOLUTIONS:
-        raise TooLargeError(f"cover search needs at most {MAX_COVER_SOLUTIONS} solutions")
-    weights = [_integer_weight(check_lambda(instance, lam), instance.lambda_min) for lam in samples]
-    optima = [exact._best(w) for w in weights]
-
-    covers = []
-    for row in rows:
-        mask = 0
-        for j, w in enumerate(weights):
-            ratio = _ratio(sum(map(operator.mul, w, row)), optima[j], instance.sense)
-            if ratio is not None and ratio <= b:
-                mask |= 1 << j
-        covers.append(mask)
-    full = (1 << len(weights)) - 1
-    for size in range(1, len(rows) + 1):
-        for combo in combinations(range(len(rows)), size):
-            merged = 0
-            for i in combo:
-                merged |= covers[i]
-            if merged == full:
-                return size
-    raise DomainError("no subset covers the samples; even the full set fails")

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from ..errors import InvalidInstanceError
+from ..errors import InvalidInstanceError, TooLargeError
 from ..model import (
     ProblemInstance,
     RationalLike,
@@ -23,6 +23,10 @@ from ..model import (
     scaled_costs,
     structured_instance,
 )
+
+#: Largest DP table, in cells, of either solver: ``engine.default_oracle`` refuses a
+#: knapsack whose exact table is larger, and ``knapsack_scaling_solve`` refuses a call.
+MAX_KNAPSACK_CELLS = 10**7
 
 
 @dataclass(frozen=True)
@@ -122,7 +126,9 @@ def knapsack_scaling_solve(
     """Profit-scaling solver: profit at least (1 - accuracy) times optimal.
 
     Scales profits to integers at granularity accuracy * max_profit / n and
-    runs a profit-indexed minimum-weight DP on the scaled values.
+    runs a profit-indexed minimum-weight DP on the scaled values.  A table
+    past ``MAX_KNAPSACK_CELLS`` cells (items times scaled total + 1, which
+    grows like n^2 / accuracy) raises ``TooLargeError`` before it is built.
     """
     eps = as_fraction(accuracy)
     if not (0 < eps < 1):
@@ -138,6 +144,11 @@ def knapsack_scaling_solve(
     scaled = [profits[i] * n * eps.denominator // (eps.numerator * top) for i in fitting]
 
     total = sum(scaled)
+    cells = n * (total + 1)
+    if cells > MAX_KNAPSACK_CELLS:
+        raise TooLargeError(
+            f"knapsack scaling DP table has {cells} cells, exceeding the cap of {MAX_KNAPSACK_CELLS}"
+        )
     INF = data.budget + 1
     min_weight = [0] + [INF] * total
     take = [[False] * (total + 1) for _ in range(n)]

@@ -12,16 +12,12 @@ from math import factorial
 from paramgrid import (
     Oracle,
     OracleFamily,
-    Sense,
     approximate,
     augmented_evaluate,
     evaluate,
-    explicit_instance,
     lift_to_cone,
-    minimum_cover_size,
     query,
     threshold,
-    lambda_from_weight,
 )
 from paramgrid.model import ZERO
 from paramgrid.oracle import ExhaustiveOracle
@@ -335,14 +331,21 @@ def test_criterion_5_forced_cover_gadget():
                 )
             ok &= never_optimal and within_beta
 
-            tail = explicit_instance(spikes, sense=Sense.MIN, K=K)
-            witnesses = [
-                lambda_from_weight(w, gadget.instance.lambda_min)
-                for w in gadget.witnesses["spike"]
-            ]
-            cover = minimum_cover_size(tail, beta, witnesses)
-            ok &= cover == K + 1
-            details.append(f"beta={beta},K={K}:cover={cover}")
+            # at each spike's witness, only its own spike is within beta of
+            # the spikes' minimum, so every cover of the witnesses needs all K + 1
+            needed = 0
+            for i, w in enumerate(gadget.witnesses["spike"]):
+                d = math.lcm(*(v.denominator for v in w))
+                w_int = [int(v * d) for v in w]
+                values = [sum(wi * fi for wi, fi in zip(w_int, fs)) for fs in f_spikes]
+                best = min(values)
+                within = [
+                    j for j, v in enumerate(values)
+                    if beta.denominator * v <= beta.numerator * best
+                ]
+                needed += within == [i]
+            ok &= needed == K + 1
+            details.append(f"beta={beta},K={K}:needed={needed}")
     report(
         "5 forced-cover gadget",
         ok,

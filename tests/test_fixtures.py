@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from paramgrid import augmented_evaluate
+from paramgrid import augmented_evaluate, fixtures
 from paramgrid.errors import InvalidInstanceError
 from paramgrid.fixtures import (
     check_appendix_example,
@@ -42,6 +42,20 @@ class TestForcedCoverGadget:
     def test_facts_small_sample(self):
         report = check_section3(F(2), 2, samples=400, seed=5)
         assert report.passed
+
+    def test_forced_cover_fails_with_a_witness_listed_twice(self, monkeypatch):
+        # spike 1 then has no witness of its own: spike 0 covers both copies
+        real = fixtures._spike_witnesses
+
+        def doubled(b, K, spikes):
+            w = real(b, K, spikes)
+            return (w[0], w[0], *w[2:])
+
+        monkeypatch.setattr(fixtures, "_spike_witnesses", doubled)
+        report = check_section3(F(2), 2, samples=50)
+        assert {f.name: f.passed for f in report.facts} == {
+            "never-optimal": True, "singleton-cover": True, "forced-k-plus-1": False,
+        }
 
 
 class TestAppendixExample:

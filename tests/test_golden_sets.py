@@ -177,7 +177,7 @@ def test_verify_report_matches_golden_digest(name):
 FIXTURE_GOLDEN = {
     "section3": (
         dict(beta=F(3, 2), K=2, samples=300, seed=1),
-        "fa692899ae0c44732c591b3ca0ce3b4bc8f80bc8fbfe6860806dbe33c24d4839",
+        "33a5a9ae3f2049c0351c59c635893af8f225027fae1ef52372199a77e6b413ed",
     ),
     "appendix-example": (
         dict(beta=F(2), z0=F(5), samples=300, seed=2),

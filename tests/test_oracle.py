@@ -12,7 +12,6 @@ from paramgrid import (
     enumerate_solutions,
     evaluate,
     explicit_instance,
-    minimum_cover_size,
     query,
     sample_parameters_labeled,
     verify_approximation_set,
@@ -148,7 +147,7 @@ class TestOneScan:
                     w = (F(0), *w[1:])
                 wopt = optimum_by_enumeration_weight(inst, w)
                 ints, q = _clear_denominators(w)
-                assert F(exhaustive._best(ints), q * exhaustive._scale) == wopt
+                assert F(exhaustive._argbest(ints)[1], q * exhaustive._scale) == wopt
 
                 probe = rng.choice(records)
                 value = augmented_evaluate(probe, w)
@@ -367,30 +366,6 @@ class TestVerify:
         assert ok.passed and ok.worst_ratio == 1
         bad = verify_on_weights(inst, [one], F(100), [(F(1), F(1))])
         assert not bad.passed and bad.hard_failures == 1
-
-
-class TestMinimumCover:
-    def separated_instance(self):
-        # Three solutions, each uniquely good in its own region.
-        records = [rec("a", 1, 9, 9), rec("b", 9, 1, 9), rec("c", 9, 9, 1)]
-        return explicit_instance(records, K=2)
-
-    def test_constructed_separation_needs_all(self):
-        inst = self.separated_instance()
-        lams = [(F(1, 100), F(1, 100)), (F(100), F(1, 100)), (F(1, 100), F(100))]
-        assert minimum_cover_size(inst, F(2), lams) == 3
-
-    def test_single_solution(self):
-        inst = explicit_instance([rec("only", 2, 1)], K=1)
-        assert minimum_cover_size(inst, F(1), [(F(0),), (F(5),)]) == 1
-
-    def test_monotone_in_beta_and_samples(self):
-        inst = self.separated_instance()
-        lams = [(F(1, 100), F(1, 100)), (F(100), F(1, 100)), (F(1, 100), F(100))]
-        sizes = [minimum_cover_size(inst, beta, lams) for beta in (F(1), F(2), F(20))]
-        assert sizes == sorted(sizes, reverse=True)
-        growing = [minimum_cover_size(inst, F(2), lams[:k]) for k in (1, 2, 3)]
-        assert growing == sorted(growing)
 
 
 class TestOracleAgreement:

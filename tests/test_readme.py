@@ -4,13 +4,16 @@ Every ```python block of README.md runs in order in one namespace, as a reader
 pasting them into one session would run them, so a renamed or removed name
 fails here instead of in the documentation.  Every row of the removal table
 that starts with a backticked name must name something the package no longer
-has.
+has, and every bound the README gives for fixture ``section3``'s ``K`` is the
+one the code enforces.
 """
 from __future__ import annotations
 
 import importlib
 import re
 from pathlib import Path
+
+from paramgrid.fixtures import MAX_SECTION3_K
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 BLOCK = re.compile(r"^```python\n(.*?)^```", re.MULTILINE | re.DOTALL)
@@ -47,3 +50,12 @@ def test_removed_names_stay_removed():
     names = REMOVED_ROW.findall(table)
     assert names, "the removal table has no backticked rows"
     assert [name for name in names if _resolves(name)] == []
+
+
+SECTION3_BOUND = re.compile(r"K`? (?:<=|above) (\d+)")
+
+
+def test_section3_bound_is_the_enforced_one():
+    bounds = SECTION3_BOUND.findall(README.read_text(encoding="utf-8"))
+    assert len(bounds) >= 3, f"expected the three section3 bounds, found {bounds}"
+    assert {int(b) for b in bounds} == {MAX_SECTION3_K}

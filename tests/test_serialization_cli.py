@@ -14,6 +14,7 @@ import paramgrid
 from paramgrid import approximate, engine, query
 from paramgrid.cli import main
 from paramgrid.errors import InvalidInstanceError, ParamGridError
+from paramgrid.fixtures import MAX_SECTION3_K
 from paramgrid.serialization import (
     approximation_set_from_dict,
     approximation_set_to_dict,
@@ -439,14 +440,13 @@ class TestCli:
         answered = aset.entries[tuple(explain["cell"])]
         assert doc["solution"]["F"] == [str(v) for v in answered.F]
 
-    @pytest.mark.parametrize("K, code", [(11, 0), (12, 7)])
-    def test_section3_cover_search_bound(self, capsys, K, code):
-        # the fixture's cover search takes at most 12 solutions, and it has K + 1 spikes
-        argv = ["verify", "--fixture", "section3", "--beta", "2", "--K", str(K), "--samples", "10"]
+    @pytest.mark.parametrize("K, code", [(12, 0), (40, 0), (MAX_SECTION3_K + 1, 7)])
+    def test_section3_K_bound(self, capsys, K, code):
+        argv = ["verify", "--fixture", "section3", "--beta", "2", "--K", str(K), "--samples", "100"]
         assert main(argv) == code
         err = capsys.readouterr().err
         if code:
-            assert err == "error: cover search needs at most 12 solutions\n"
+            assert err == f"error: fixture section3 needs K <= {MAX_SECTION3_K}\n"
 
     def test_reports_byte_stable(self, tmp_path, capsys):
         inst_path = write(tmp_path, "inst.json", TOY_KNAPSACK)
@@ -600,6 +600,13 @@ class TestHostileSizes:
                        "--out", str(tmp_path / "set.json"), timeout=4)
         self.assert_refused(proc, code=4)
         assert f"at least 2^{(3**K).bit_length() - 1} points" in proc.stderr
+
+    def test_section3_K_refused_before_the_gadget(self):
+        # the gadget's (K + 2)(K + 1) rationals would take gigabytes at this K
+        proc = run_cli("verify", "--fixture", "section3", "--beta", "2", "--K", "1000000",
+                       timeout=4)
+        self.assert_refused(proc, code=7)
+        assert f"needs K <= {MAX_SECTION3_K}" in proc.stderr
 
     @pytest.mark.parametrize(
         "K, lambda_min",

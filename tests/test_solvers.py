@@ -158,6 +158,12 @@ class TestKnapsackScaling:
         members = rec.encoding[1]
         assert sum(data.items[i].weight for i in members) <= data.budget
 
+    def test_table_past_the_cell_cap_refused(self):
+        # 3 items times a scaled total of 4.5 * 10^9: refused before any cell is built
+        inst = knapsack_instance(knapsack_data([(5, [1], 1), (7, [2], 1), (3, [1], 1)], 3, K=1))
+        with pytest.raises(TooLargeError, match="knapsack scaling DP table"):
+            knapsack_scaling_solve(inst, inst.lambda_min, F(1, 10**9))
+
 
 def path_matching_system():
     # Matchings of the path a-b-c-d: edges 0=ab, 1=bc, 2=cd, profits 2,3,2.
