@@ -19,7 +19,6 @@ fixture ``section3`` (K at most ``fixtures.MAX_SECTION3_K``).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -124,8 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(doc: dict, path: str | None):
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+def _emit(doc, path: str | None):
+    text = serialization.dumps(doc)
     sys.stdout.write(text)
     if path:
         with open(path, "w", encoding="utf-8") as handle:
@@ -171,9 +170,9 @@ def _cmd_query(args) -> int:
     rec = own[engine.query(aset, instance, args.lam).encoding]
     doc = {
         "solution": serialization.solution_to_json(rec),
-        "lambda": [serialization.frac_str(v) for v in args.lam],
-        "value": serialization.frac_str(evaluate(instance, rec, args.lam)),
-        "guarantee": serialization.frac_str(aset.guarantee),
+        "lambda": args.lam,
+        "value": evaluate(instance, rec, args.lam),
+        "guarantee": aset.guarantee,
     }
     if args.explain:
         doc["explain"] = _explain(aset, instance, args.lam)
@@ -183,33 +182,25 @@ def _cmd_query(args) -> int:
 
 def _explain(aset: engine.ApproximationSet, instance, lam) -> dict:
     """The pass ``query`` ran (``engine.locate``), with each lift step's ``mu`` as a rational."""
-    frac = serialization.frac_str
     w, order, lifted, steps, cell = engine.locate(aset.spec, instance, check_lambda(instance, lam))
     return {
-        "weight": [frac(Fraction(v, w[0])) for v in w],
+        "weight": [Fraction(v, w[0]) for v in w],
         "lift": [
-            {"indices": sorted(order[: top + 1]), "mu": frac(Fraction(num, den))}
+            {"indices": sorted(order[: top + 1]), "mu": Fraction(num, den)}
             for top, num, den, _ in steps
         ],
         "compact_lambda": [
-            frac(Fraction(v, lifted[0]) + lm) for v, lm in zip(lifted[1:], instance.lambda_min)
+            Fraction(v, lifted[0]) + lm for v, lm in zip(lifted[1:], instance.lambda_min)
         ],
-        "cell": list(cell),
+        "cell": cell,
     }
 
 
 def _cmd_verify(args) -> int:
     if args.fixture:
-        report = fixtures.check_fixture(
-            args.fixture,
-            beta=args.beta,
-            K=args.K,
-            z0=args.z0,
-            L=args.L,
-            samples=args.samples,
-            seed=args.seed,
-        )
-        _emit(serialization.fixture_report_to_dict(report), args.report)
+        report = fixtures.check_fixture(args.fixture, beta=args.beta, K=args.K, z0=args.z0,
+                                        L=args.L, samples=args.samples, seed=args.seed)
+        _emit(report, args.report)
         return EXIT_OK if report.passed else EXIT_VERIFY
 
     if not args.instance or not args.set_path:
@@ -217,10 +208,9 @@ def _cmd_verify(args) -> int:
     instance = serialization.load_instance(args.instance)
     aset = serialization.load_approximation_set(args.set_path)
     _check_pairing(aset, instance)
-    spec = aset.spec
-    samples = oracle.sample_parameters_labeled(instance, spec, args.samples, args.seed)
+    samples = oracle.sample_parameters_labeled(instance, aset.spec, args.samples, args.seed)
     report = oracle.verify_approximation_set(instance, aset, args.beta, samples)
-    _emit(serialization.verification_report_to_dict(report), args.report)
+    _emit(report, args.report)
     return EXIT_OK if report.passed else EXIT_VERIFY
 
 

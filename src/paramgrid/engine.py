@@ -23,6 +23,7 @@ from .errors import (
     InvalidInstanceError,
     OracleError,
     TooLargeError,
+    size_text,
 )
 from .grid import GridIndex, GridSpec, fewest_points_exceed
 from .model import (
@@ -84,7 +85,8 @@ def default_oracle(instance: ProblemInstance) -> Oracle:
         cells = len(payload.items) * (payload.capacity + 1)
         if cells > MAX_KNAPSACK_CELLS:
             raise TooLargeError(
-                f"knapsack DP table has {cells} cells, exceeding the cap of {MAX_KNAPSACK_CELLS}"
+                f"knapsack DP table has {size_text(cells)} cells, "
+                f"exceeding the cap of {MAX_KNAPSACK_CELLS}"
             )
         return Oracle(fn=knapsack_solve, alpha=Fraction(1), name="knapsack-dp")
     if isinstance(payload, IndependenceSystem):

@@ -1,6 +1,15 @@
 """Exception hierarchy shared across the package."""
 
 
+def size_text(size: int) -> str:
+    """A count for a message: decimal up to 64 bits, else "at least 2^n".
+
+    ``str`` of an integer past 4,300 digits raises, so large sizes are named
+    by their bit length.
+    """
+    return str(size) if size.bit_length() <= 64 else f"at least 2^{size.bit_length() - 1}"
+
+
 class ParamGridError(Exception):
     """Base class for all errors raised by this package."""
 
@@ -28,11 +37,7 @@ class GridCapError(ParamGridError):
     """
 
     def __init__(self, size: int, cap: int, *, least: bool = False):
-        # str() of a size past 4,300 digits raises, so name big ones by bit length
-        if size.bit_length() > 64:
-            shown = f"at least 2^{size.bit_length() - 1}"
-        else:
-            shown = f"at least {size}" if least else str(size)
+        shown = f"at least {size}" if least and size.bit_length() <= 64 else size_text(size)
         super().__init__(f"grid has {shown} points, exceeding the cap of {cap}")
         self.size = size
         self.cap = cap

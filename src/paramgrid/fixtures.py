@@ -18,7 +18,7 @@ deterministic weights from a seeded generator.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -45,13 +45,16 @@ class FactCheck:
 
 @dataclass
 class FixtureReport:
-    fixture: str
-    parameters: dict
-    facts: list[FactCheck]
+    """A fixture's facts; ``parameters`` are kept as the strings the CLI prints."""
 
-    @property
-    def passed(self) -> bool:
-        return all(f.passed for f in self.facts)
+    fixture: str
+    parameters: dict[str, str]
+    facts: list[FactCheck]
+    passed: bool = field(init=False)
+
+    def __post_init__(self):
+        self.parameters = {k: str(v) for k, v in self.parameters.items()}
+        self.passed = all(f.passed for f in self.facts)
 
 
 @dataclass(frozen=True)
@@ -204,7 +207,7 @@ def check_section3(beta, K: int, samples: int = 10_000, seed: int = 0) -> Fixtur
             f"so every cover of the witnesses holds all {K + 1}",
         )
     )
-    return FixtureReport("section3", {"beta": str(b), "K": K, "samples": samples, "seed": seed}, facts)
+    return FixtureReport("section3", {"beta": b, "K": K, "samples": samples, "seed": seed}, facts)
 
 
 # ---------------------------------------------------------------------------
@@ -316,11 +319,8 @@ def check_appendix_example(beta, z0, samples: int = 10_000, seed: int = 0) -> Fi
             "dropping any tail solution fails at its witness weight",
         )
     )
-    return FixtureReport(
-        "appendix-example",
-        {"beta": str(b), "z0": str(z), "samples": samples, "seed": seed},
-        facts,
-    )
+    parameters = {"beta": b, "z0": z, "samples": samples, "seed": seed}
+    return FixtureReport("appendix-example", parameters, facts)
 
 
 # ---------------------------------------------------------------------------
@@ -374,9 +374,7 @@ def check_appendix_proof(beta, z0, L: int) -> FixtureReport:
             "((beta-1)z0+beta)-scaled own value stays below every other chain value",
         )
     )
-    return FixtureReport(
-        "appendix-proof", {"beta": str(b), "z0": str(z), "L": L}, facts
-    )
+    return FixtureReport("appendix-proof", {"beta": b, "z0": z, "L": L}, facts)
 
 
 # ---------------------------------------------------------------------------
@@ -409,16 +407,16 @@ def check_fixture(
     samples: int = 10_000,
     seed: int = 0,
 ) -> FixtureReport:
+    """Run fixture ``name`` with the parameters that ``FIXTURES`` lists for it."""
+    if name not in FIXTURES:
+        raise InvalidInstanceError(f"unknown fixture {name!r}; known: {sorted(FIXTURES)}")
+    given = {"beta": beta, "K": K, "z0": z0, "L": L}
+    missing = [p for p in FIXTURES[name]["parameters"] if given[p] is None]
+    if missing:
+        raise InvalidInstanceError(f"fixture {name} needs {' and '.join(missing)}")
+    args = [given[p] for p in FIXTURES[name]["parameters"]]
     if name == "section3":
-        if K is None:
-            raise InvalidInstanceError("fixture section3 needs K")
-        return check_section3(beta, K, samples=samples, seed=seed)
+        return check_section3(*args, samples=samples, seed=seed)
     if name == "appendix-example":
-        if z0 is None:
-            raise InvalidInstanceError("fixture appendix-example needs z0")
-        return check_appendix_example(beta, z0, samples=samples, seed=seed)
-    if name == "appendix-proof":
-        if z0 is None or L is None:
-            raise InvalidInstanceError("fixture appendix-proof needs z0 and L")
-        return check_appendix_proof(beta, z0, L)
-    raise InvalidInstanceError(f"unknown fixture {name!r}; known: {sorted(FIXTURES)}")
+        return check_appendix_example(*args, samples=samples, seed=seed)
+    return check_appendix_proof(*args)

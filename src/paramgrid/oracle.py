@@ -11,6 +11,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Sequence
 
 from .engine import ApproximationSet, locate
@@ -36,7 +37,7 @@ from .solvers.independence import IndependenceSystem
 from .solvers.knapsack import KnapsackData
 from .solvers.mincut import CutGraph, cut_record
 
-#: Enumeration guards per family (2^(n-2) cuts, 2^n subsets).
+#: Enumeration guards per family (2^n masks of vertices, items or elements).
 MAX_CUT_VERTICES = 10
 MAX_KNAPSACK_ITEMS = 15
 MAX_INDEPENDENCE_ELEMENTS = 15
@@ -44,12 +45,25 @@ MAX_INDEPENDENCE_ELEMENTS = 15
 FAR_FIELD_DECADES = (3, 6, 9)
 
 
-def _subset_family(payload: KnapsackData | IndependenceSystem) -> tuple:
-    """Ground-set size, enumeration cap, encoding kind, name and feasibility test."""
+def _family(instance: ProblemInstance) -> tuple | None:
+    """Encoding kind, ground-set size, enumeration cap, name, feasibility test and record build.
+
+    A cut is the set of vertices on its source side.  None for any other family.
+    """
+    payload = instance.payload
+    if isinstance(payload, CutGraph):
+        feasible = lambda side: payload.s in side and payload.t not in side
+        return "cut", payload.n, MAX_CUT_VERTICES, "cut", feasible, partial(cut_record, instance)
     if isinstance(payload, KnapsackData):
+        kind, n, cap, what = "items", len(payload.items), MAX_KNAPSACK_ITEMS, "subset"
         feasible = lambda chosen: sum(payload.items[i].weight for i in chosen) <= payload.budget
-        return len(payload.items), MAX_KNAPSACK_ITEMS, "items", "subset", feasible
-    return payload.n, MAX_INDEPENDENCE_ELEMENTS, "elements", "independent-set", payload.independent
+    elif isinstance(payload, IndependenceSystem):
+        kind, n, cap, what = "elements", payload.n, MAX_INDEPENDENCE_ELEMENTS, "independent-set"
+        feasible = payload.independent
+    else:
+        return None
+    build = partial(record_from_elements, payload, instance.lambda_min, kind)
+    return kind, n, cap, what, feasible, build
 
 
 def instance_solution(instance: ProblemInstance, rec: SolutionRecord) -> SolutionRecord:
@@ -65,14 +79,10 @@ def instance_solution(instance: ProblemInstance, rec: SolutionRecord) -> Solutio
     own = None
     if isinstance(payload, ExplicitList):
         own = next((r for r in payload.records if r.encoding == rec.encoding), None)
-    elif isinstance(payload, CutGraph) and kind == "cut":
-        side = set(data)
-        if side <= set(range(payload.n)) and payload.s in side and payload.t not in side:
-            own = cut_record(instance, side)
-    elif isinstance(payload, (KnapsackData, IndependenceSystem)):
-        n, _, family_kind, _, feasible = _subset_family(payload)
-        if kind == family_kind and set(data) <= set(range(n)) and feasible(data):
-            own = record_from_elements(payload, instance.lambda_min, kind, data)
+    elif family := _family(instance):
+        own_kind, n, _, _, feasible, build = family
+        if kind == own_kind and set(data) <= set(range(n)) and feasible(data):
+            own = build(data)
     if own != rec:
         F = ", ".join(map(str, rec.F))
         raise InvalidInstanceError(
@@ -82,29 +92,21 @@ def instance_solution(instance: ProblemInstance, rec: SolutionRecord) -> Solutio
 
 
 def enumerate_solutions(instance: ProblemInstance) -> tuple[SolutionRecord, ...]:
-    """Every feasible solution of an enumerable instance, deterministic order."""
+    """Every feasible solution of an enumerable instance: feasible masks in increasing order."""
     payload = instance.payload
     if isinstance(payload, ExplicitList):
         return payload.records
-    if isinstance(payload, CutGraph):
-        if payload.n > MAX_CUT_VERTICES:
-            raise TooLargeError(f"cut enumeration needs n <= {MAX_CUT_VERTICES}")
-        others = [v for v in range(payload.n) if v not in (payload.s, payload.t)]
-        records = []
-        for mask in range(1 << len(others)):
-            side = {payload.s} | {others[i] for i in range(len(others)) if mask >> i & 1}
-            records.append(cut_record(instance, side))
-        return tuple(records)
-    if not isinstance(payload, (KnapsackData, IndependenceSystem)):
+    family = _family(instance)
+    if family is None:
         raise TooLargeError(f"cannot enumerate payload type {type(payload).__name__}")
-    n, cap, kind, what, feasible = _subset_family(payload)
+    _, n, cap, what, feasible, build = family
     if n > cap:
         raise TooLargeError(f"{what} enumeration needs n <= {cap}")
     records = []
     for mask in range(1 << n):
         chosen = [i for i in range(n) if mask >> i & 1]
         if feasible(chosen):
-            records.append(record_from_elements(payload, instance.lambda_min, kind, chosen))
+            records.append(build(chosen))
     return tuple(records)
 
 

@@ -1,4 +1,4 @@
-"""JSON formats for instances, approximation sets and run reports.
+"""JSON formats for instances, approximation sets, run reports and CLI documents.
 
 Rationals travel as exact ``"p/q"`` strings (plain integers are accepted on
 input); no floats ever enter the files, so serialize/parse round trips are
@@ -7,6 +7,7 @@ lossless and byte-stable.
 from __future__ import annotations
 
 import json
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from typing import Any
 
@@ -22,6 +23,19 @@ from .solvers.mincut import cut_graph, mincut_instance
 
 def frac_str(value: Fraction) -> str:
     return str(value)
+
+
+def _plain(value: Any):
+    if isinstance(value, Fraction):
+        return str(value)
+    if is_dataclass(value) and not isinstance(value, type):
+        return {f.name: getattr(value, f.name) for f in fields(value)}
+    raise TypeError(f"{type(value).__name__} is not a CLI document value")
+
+
+def dumps(doc: Any) -> str:
+    """A CLI document as text: indented, sorted keys, a Fraction as "p/q", a dataclass as fields."""
+    return json.dumps(doc, indent=2, sort_keys=True, default=_plain) + "\n"
 
 
 def parse_frac(value: Any) -> Fraction:
@@ -300,38 +314,4 @@ def run_report(aset: ApproximationSet, wall_time_ms: int) -> dict:
         "oracle_calls": aset.oracle_calls,
         "distinct_solution_count": len(aset.solutions),
         "wall_time_ms": wall_time_ms,
-    }
-
-
-def verification_report_to_dict(report) -> dict:
-    return {
-        "beta": frac_str(report.beta),
-        "samples_tested": report.samples_tested,
-        "worst_ratio": None if report.worst_ratio is None else frac_str(report.worst_ratio),
-        "worst_point": None
-        if report.worst_point is None
-        else [frac_str(v) for v in report.worst_point],
-        "passed": report.passed,
-        "hard_failures": report.hard_failures,
-        "space": report.space,
-        "strategies": {
-            name: {
-                "samples": stats.samples,
-                "worst_ratio": None
-                if stats.worst_ratio is None
-                else frac_str(stats.worst_ratio),
-            }
-            for name, stats in sorted(report.strategies.items())
-        },
-    }
-
-
-def fixture_report_to_dict(report) -> dict:
-    return {
-        "fixture": report.fixture,
-        "parameters": {k: str(v) for k, v in report.parameters.items()},
-        "passed": report.passed,
-        "facts": [
-            {"name": f.name, "passed": f.passed, "detail": f.detail} for f in report.facts
-        ],
     }

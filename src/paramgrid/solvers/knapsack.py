@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from ..errors import InvalidInstanceError, TooLargeError
+from ..errors import InvalidInstanceError, TooLargeError, size_text
 from ..model import (
     ProblemInstance,
     RationalLike,
@@ -147,7 +147,8 @@ def knapsack_scaling_solve(
     cells = n * (total + 1)
     if cells > MAX_KNAPSACK_CELLS:
         raise TooLargeError(
-            f"knapsack scaling DP table has {cells} cells, exceeding the cap of {MAX_KNAPSACK_CELLS}"
+            f"knapsack scaling DP table has {size_text(cells)} cells, "
+            f"exceeding the cap of {MAX_KNAPSACK_CELLS}"
         )
     INF = data.budget + 1
     min_weight = [0] + [INF] * total

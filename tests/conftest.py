@@ -8,7 +8,8 @@ tests, prefix-rule cone membership, its single lifting step and the
 convex-combination reconstruction of a lift certificate live here too: the
 library's lift never calls them, and the tests check it against them.
 ``fraction_lift`` runs the same lift step by step on Fractions, the reference
-for the library's integer lift.
+for the library's integer lift.  The cut and subset walks that
+``enumerate_solutions`` replaced with one mask walk are kept as its reference.
 """
 from __future__ import annotations
 
@@ -21,11 +22,20 @@ import pytest
 from hypothesis import settings
 
 from paramgrid import DomainError, Sense, augmented_evaluate, evaluate, grid_points
-from paramgrid.model import ProblemInstance, SolutionRecord, ZERO, as_fraction, check_weight
+from paramgrid.model import (
+    ProblemInstance,
+    SolutionRecord,
+    ZERO,
+    as_fraction,
+    check_weight,
+    record_from_elements,
+)
 from paramgrid.weights import LiftCertificate, LiftStep
 from paramgrid.oracle import enumerate_solutions
 from paramgrid.solvers import (
+    KnapsackData,
     cut_graph,
+    cut_record,
     from_generators,
     independence_instance,
     knapsack_data,
@@ -202,6 +212,32 @@ def reconstruct(cert: LiftCertificate):
         for i, v in enumerate(vec):
             total[i] += coeff * v
     return tuple(total)
+
+
+def cut_walk_reference(instance: ProblemInstance) -> tuple[SolutionRecord, ...]:
+    """Every s-t cut, by masks over the vertices other than s and t in increasing order."""
+    graph = instance.payload
+    others = [v for v in range(graph.n) if v not in (graph.s, graph.t)]
+    return tuple(
+        cut_record(instance, {graph.s} | {others[i] for i in range(len(others)) if mask >> i & 1})
+        for mask in range(1 << len(others))
+    )
+
+
+def subset_walk_reference(instance: ProblemInstance) -> tuple[SolutionRecord, ...]:
+    """Every feasible knapsack subset or independent set, by masks in increasing order."""
+    payload = instance.payload
+    if isinstance(payload, KnapsackData):
+        n, kind = len(payload.items), "items"
+        feasible = lambda chosen: sum(payload.items[i].weight for i in chosen) <= payload.budget
+    else:
+        n, kind, feasible = payload.n, "elements", payload.independent
+    records = []
+    for mask in range(1 << n):
+        chosen = [i for i in range(n) if mask >> i & 1]
+        if feasible(chosen):
+            records.append(record_from_elements(payload, instance.lambda_min, kind, chosen))
+    return tuple(records)
 
 
 def optimum_by_enumeration(instance: ProblemInstance, lam):

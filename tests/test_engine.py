@@ -24,7 +24,7 @@ from paramgrid import (
     query,
     weight_from_lambda,
 )
-from paramgrid.errors import OracleError
+from paramgrid.errors import OracleError, size_text
 from paramgrid.fixtures import forced_cover_gadget
 from paramgrid.oracle import ExhaustiveOracle, enumerate_solutions
 from paramgrid.solvers import (
@@ -92,6 +92,13 @@ class TestApproximate:
         inst = single_solution_instance()
         with pytest.raises(GridCapError):
             approximate(inst, F(1, 100), grid_cap=10)
+
+    def test_size_text(self):
+        # decimal up to 64 bits; past that by bit length, since str() fails past 4,300 digits
+        assert size_text(7) == "7"
+        assert size_text(2**64 - 1) == "18446744073709551615"
+        assert size_text(2**64) == "at least 2^64"
+        assert size_text(10**5000) == f"at least 2^{(10**5000).bit_length() - 1}"
 
     def test_oracle_failure_carries_lambda(self):
         inst = single_solution_instance()

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -124,3 +125,20 @@ class TestRegistry:
             check_fixture("section3", beta=F(2))
         with pytest.raises(InvalidInstanceError):
             check_fixture("unknown", beta=F(2))
+
+    @pytest.mark.parametrize(
+        "name, given, missing",
+        [("section3", {}, "K"), ("appendix-example", {"K": 3}, "z0"),
+         ("appendix-proof", {}, "z0 and L"), ("appendix-proof", {"z0": F(5)}, "L")],
+    )
+    def test_missing_parameters_named(self, name, given, missing):
+        # the parameter lists are the ones FIXTURES declares
+        with pytest.raises(InvalidInstanceError) as info:
+            check_fixture(name, beta=F(2), **given)
+        assert str(info.value) == f"fixture {name} needs {missing}"
+
+    def test_report_parameters_are_strings(self):
+        # the report holds what the CLI prints, and passed is one of its fields
+        report = check_fixture("section3", beta=F(3, 2), K=1, samples=20, seed=4)
+        assert report.parameters == {"beta": "3/2", "K": "1", "samples": "20", "seed": "4"}
+        assert "passed" in {f.name for f in dataclasses.fields(report)}

@@ -19,8 +19,8 @@ from paramgrid import (
     weight_from_lambda,
 )
 from paramgrid.errors import InvalidInstanceError, TooLargeError
-from paramgrid.model import _clear_denominators
-from paramgrid.oracle import ExhaustiveOracle
+from paramgrid.model import ProblemInstance, _clear_denominators
+from paramgrid.oracle import ExhaustiveOracle, instance_solution
 from paramgrid.solvers import (
     cut_graph,
     from_generators,
@@ -33,6 +33,7 @@ from paramgrid.solvers import (
 )
 
 from conftest import (
+    cut_walk_reference,
     optimum_by_enumeration,
     optimum_by_enumeration_weight,
     random_cut,
@@ -40,6 +41,7 @@ from conftest import (
     random_independence,
     random_knapsack,
     random_lambda,
+    subset_walk_reference,
 )
 
 
@@ -116,6 +118,36 @@ class TestEnumeration:
             ("elements", ()), ("elements", (0,)), ("elements", (1,)),
             ("elements", (0, 1)), ("elements", (2,)),
         ]
+
+    def test_cut_walk_matches_the_reference(self):
+        # s and t anywhere: their mask bits are fixed, so the other vertices' masks set the order
+        rng = random.Random(28)
+        for n in range(3, 9):
+            for _ in range(4):
+                s, t = rng.sample(range(n), 2)
+                order = rng.sample(range(n), n)
+                arcs = [(u, v, rng.randint(1, 5), (rng.randint(0, 3),))
+                        for u, v in zip(order, order[1:])]
+                arcs += [(u, v, rng.randint(0, 5), (rng.randint(0, 3),))
+                         for u, v in (rng.sample(range(n), 2) for _ in range(n))]
+                inst = mincut_instance(cut_graph(n, arcs, s, t, 1))
+                assert enumerate_solutions(inst) == cut_walk_reference(inst)
+                assert len(enumerate_solutions(inst)) == 2 ** (n - 2)
+
+    def test_subset_walk_matches_the_reference(self):
+        rng = random.Random(28)
+        for _ in range(6):
+            for inst in (random_knapsack(rng, n=8, K=2, cmax=6),
+                         random_independence(rng, n=7, K=1, cmax=6)):
+                assert enumerate_solutions(inst) == subset_walk_reference(inst)
+
+    def test_unknown_payload(self):
+        # no enumeration, and no solution of it can be rebuilt: a schema error, not exit 7
+        inst = ProblemInstance(Sense.MIN, 1, (F(0),), F(1), F(1), payload=object())
+        with pytest.raises(TooLargeError, match="cannot enumerate payload type object"):
+            enumerate_solutions(inst)
+        with pytest.raises(InvalidInstanceError, match="is not a solution of the instance"):
+            instance_solution(inst, SolutionRecord(("items", (0,)), (F(1), F(1))))
 
 
 class TestOneScan:

@@ -4,8 +4,8 @@ Every ```python block of README.md runs in order in one namespace, as a reader
 pasting them into one session would run them, so a renamed or removed name
 fails here instead of in the documentation.  Every row of the removal table
 that starts with a backticked name must name something the package no longer
-has, and every bound the README gives for fixture ``section3``'s ``K`` is the
-one the code enforces.
+has, and every bound the README gives for fixture ``section3``'s ``K``, and
+every exit-7 cap it names, is the one the code enforces.
 """
 from __future__ import annotations
 
@@ -14,6 +14,8 @@ import re
 from pathlib import Path
 
 from paramgrid.fixtures import MAX_SECTION3_K
+from paramgrid.oracle import MAX_CUT_VERTICES, MAX_INDEPENDENCE_ELEMENTS, MAX_KNAPSACK_ITEMS
+from paramgrid.solvers.knapsack import MAX_KNAPSACK_CELLS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 BLOCK = re.compile(r"^```python\n(.*?)^```", re.MULTILINE | re.DOTALL)
@@ -59,3 +61,17 @@ def test_section3_bound_is_the_enforced_one():
     bounds = SECTION3_BOUND.findall(README.read_text(encoding="utf-8"))
     assert len(bounds) >= 3, f"expected the three section3 bounds, found {bounds}"
     assert {int(b) for b in bounds} == {MAX_SECTION3_K}
+
+
+ENUMERATION_CAPS = re.compile(r"more than (\d+) cut vertices, (\d+) items or (\d+) elements")
+CELL_CAP = re.compile(r"`10\^(\d+)` cells")
+
+
+def test_exit_7_caps_are_the_enforced_ones():
+    text = README.read_text(encoding="utf-8")
+    assert [tuple(map(int, caps)) for caps in ENUMERATION_CAPS.findall(text)] == [
+        (MAX_CUT_VERTICES, MAX_KNAPSACK_ITEMS, MAX_INDEPENDENCE_ELEMENTS)
+    ]
+    exponents = CELL_CAP.findall(text)
+    assert len(exponents) >= 2, f"expected the exact and scheme table caps, found {exponents}"
+    assert {10 ** int(e) for e in exponents} == {MAX_KNAPSACK_CELLS}

@@ -18,6 +18,7 @@ from paramgrid.fixtures import MAX_SECTION3_K
 from paramgrid.serialization import (
     approximation_set_from_dict,
     approximation_set_to_dict,
+    dumps,
     instance_from_dict,
     load_approximation_set,
     parse_frac,
@@ -127,6 +128,22 @@ class TestInstanceParsing:
             parse_frac("1.5x")
         with pytest.raises(InvalidInstanceError):
             parse_frac(True)
+
+
+class TestDumps:
+    """``dumps`` writes every CLI document: Fractions as "p/q", dataclasses as their fields."""
+
+    def test_layout(self):
+        stats = paramgrid.oracle.StrategyStats(samples=2, worst_ratio=F(3, 2))
+        assert dumps({"b": [F(1, 3), F(4)], "a": stats}) == (
+            '{\n  "a": {\n    "samples": 2,\n    "worst_ratio": "3/2"\n  },\n'
+            '  "b": [\n    "1/3",\n    "4"\n  ]\n}\n'
+        )
+
+    @pytest.mark.parametrize("value", [object(), 1.5j, paramgrid.oracle.StrategyStats])
+    def test_other_objects_refused(self, value):
+        with pytest.raises(TypeError):
+            dumps({"x": value})
 
 
 class TestApproximationSetRoundTrip:
@@ -589,6 +606,16 @@ class TestHostileSizes:
         self.assert_refused(proc, code=7)
         assert "knapsack DP table" in proc.stderr
         assert not (tmp_path / "set.json").exists()
+
+    def test_knapsack_table_size_past_the_digit_limit(self, tmp_path):
+        # 20 items and a budget of 4,300 digits each: the cell count is named by its bit length
+        weight = 10**4300 - 1
+        doc = {"problem": "knapsack", "K": 1, "budget": weight,
+               "items": [{"a": 1, "b": [1], "weight": weight}] * 20}
+        proc = run_cli("approximate", write(tmp_path, "inst.json", doc), "--epsilon", "1/2",
+                       "--out", str(tmp_path / "set.json"), timeout=5)
+        self.assert_refused(proc, code=7)
+        assert f"has at least 2^{(20 * weight + 20).bit_length() - 1} cells" in proc.stderr
 
     def test_grid_refused_before_its_exact_powers(self, tmp_path):
         # 3^K, the fewest points of any K-parameter grid, is past the cap; the
