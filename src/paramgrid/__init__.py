@@ -35,7 +35,6 @@ from .model import (
     Sense,
     SolutionRecord,
     as_fraction,
-    augmented_evaluate,
     check_lambda,
     check_weight,
     compute_lambda_min,
@@ -83,7 +82,6 @@ __all__ = [
     "VerificationReport",
     "approximate",
     "as_fraction",
-    "augmented_evaluate",
     "check_lambda",
     "check_weight",
     "compute_lambda_min",

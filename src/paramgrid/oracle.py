@@ -26,8 +26,9 @@ from .model import (
     SolutionRecord,
     Weight,
     ZERO,
-    _clear_denominators,
+    _integer_rows,
     _integer_weight,
+    _values,
     as_fraction,
     check_lambda,
     check_weight,
@@ -81,7 +82,9 @@ def instance_solution(instance: ProblemInstance, rec: SolutionRecord) -> Solutio
         own = next((r for r in payload.records if r.encoding == rec.encoding), None)
     elif family := _family(instance):
         own_kind, n, _, _, feasible, build = family
-        if kind == own_kind and set(data) <= set(range(n)) and feasible(data):
+        # each member's range, not a set of the n-vertex ground set: a cut declares n
+        in_range = kind == own_kind and all(isinstance(v, int) and 0 <= v < n for v in data)
+        if in_range and feasible(data):
             own = build(data)
     if own != rec:
         F = ", ".join(map(str, rec.F))
@@ -123,8 +126,7 @@ class ExhaustiveOracle:
 
     def __post_init__(self):
         records = enumerate_solutions(self.instance)
-        flat, self._scale = _clear_denominators([v for rec in records for v in rec.F])
-        rows = list(zip(*[iter(flat)] * (self.instance.K + 1)))  # K + 1 entries per row
+        rows, self._scale = _integer_rows(records)
         self._pick = min if self.instance.sense is Sense.MIN else max
         sign = 1 if self._pick is min else -1
         kept: list[tuple[tuple[int, ...], int]] = []
@@ -335,9 +337,7 @@ def verify_on_weights(
     pool = [exact._row(rec) for rec in solutions]
     probes = []
     for w in map(check_weight, weights):
-        if len(w) != instance.K + 1:
-            raise DomainError(f"weight length {len(w)} does not match {instance.K + 1} components")
-        ints = _clear_denominators(w)[0]
-        value = exact._pick(sum(map(operator.mul, ints, row)) for row in pool)
-        probes.append(("weights", w, _ratio(value, exact._argbest(ints)[1], instance.sense)))
+        value = exact._pick(_values(pool, w))
+        opt = exact._pick(_values(exact._kept_rows, w))
+        probes.append(("weights", w, _ratio(value, opt, instance.sense)))
     return _report(beta, probes, "weight")

@@ -10,6 +10,9 @@ library's lift never calls them, and the tests check it against them.
 ``fraction_lift`` runs the same lift step by step on Fractions, the reference
 for the library's integer lift.  The cut and subset walks that
 ``enumerate_solutions`` replaced with one mask walk are kept as its reference.
+``augmented_evaluate`` values a solution at a weight with Fraction dot
+products; with it, the fixtures' two former separation predicates, a Fraction
+one and a leave-one-out one, are the reference for ``fixtures._separated``.
 """
 from __future__ import annotations
 
@@ -21,7 +24,14 @@ from typing import Iterable, Sequence
 import pytest
 from hypothesis import settings
 
-from paramgrid import DomainError, Sense, augmented_evaluate, evaluate, grid_points
+from paramgrid import (
+    DomainError,
+    Sense,
+    evaluate,
+    explicit_instance,
+    grid_points,
+    verify_on_weights,
+)
 from paramgrid.model import (
     ProblemInstance,
     SolutionRecord,
@@ -240,6 +250,32 @@ def subset_walk_reference(instance: ProblemInstance) -> tuple[SolutionRecord, ..
     return tuple(records)
 
 
+def augmented_evaluate(x: SolutionRecord, w: Sequence) -> Fraction:
+    """Weighted component sum sum_i w_i * F_i(x), exact."""
+    vec = check_weight(w)
+    if len(vec) != len(x.F):
+        raise DomainError(f"weight length {len(vec)} does not match {len(x.F)} components")
+    return sum((wi * fi for wi, fi in zip(vec, x.F)), ZERO)
+
+
+def separated_reference(records: Sequence[SolutionRecord], witnesses: Sequence, factor) -> bool:
+    """Each record, times ``factor``, is strictly cheaper than every other at its own witness."""
+    return all(
+        factor * augmented_evaluate(records[i], w)
+        < min(augmented_evaluate(rec, w) for j, rec in enumerate(records) if j != i)
+        for i, w in enumerate(witnesses)
+    )
+
+
+def each_needed_reference(records: Sequence[SolutionRecord], witnesses: Sequence, beta) -> bool:
+    """Every record is needed: at its witness weight the others fail ``verify_on_weights``."""
+    instance = explicit_instance(records)
+    return not any(
+        verify_on_weights(instance, [*records[:i], *records[i + 1 :]], beta, [w]).passed
+        for i, w in enumerate(witnesses)
+    )
+
+
 def optimum_by_enumeration(instance: ProblemInstance, lam):
     """Exact optimum by scanning every feasible solution with Fractions."""
     best = None
@@ -386,8 +422,6 @@ def random_independence(rng: random.Random, n: int, K: int, cmax: int):
 
 def random_explicit(rng: random.Random, count: int, K: int, vmax: int, *, sense=Sense.MIN):
     """Explicit instance with values drawn from {0} U [1, vmax]."""
-    from paramgrid.model import explicit_instance
-
     while True:
         records = []
         for i in range(count):

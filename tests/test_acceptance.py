@@ -13,7 +13,6 @@ from paramgrid import (
     Oracle,
     OracleFamily,
     approximate,
-    augmented_evaluate,
     evaluate,
     lift_to_cone,
     query,
@@ -35,6 +34,7 @@ from paramgrid.solvers import (
 )
 
 from conftest import (
+    augmented_evaluate,
     cone_member_exhaustive,
     in_cone,
     optimum_by_enumeration,

@@ -1,9 +1,10 @@
 import dataclasses
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from paramgrid import augmented_evaluate, fixtures
+from paramgrid import fixtures
 from paramgrid.errors import InvalidInstanceError
 from paramgrid.fixtures import (
     check_appendix_example,
@@ -14,6 +15,9 @@ from paramgrid.fixtures import (
     separation_chain,
     small_cover_gadget,
 )
+from paramgrid.model import SolutionRecord, explicit_instance
+
+from conftest import augmented_evaluate, each_needed_reference, separated_reference
 
 
 class TestForcedCoverGadget:
@@ -142,3 +146,66 @@ class TestRegistry:
         report = check_fixture("section3", beta=F(3, 2), K=1, samples=20, seed=4)
         assert report.parameters == {"beta": "3/2", "K": "1", "samples": "20", "seed": "4"}
         assert "passed" in {f.name for f in dataclasses.fields(report)}
+
+
+class TestOneSeparationPredicate:
+    """``_separated`` on integer rows decides what both former Fraction predicates decided."""
+
+    @staticmethod
+    def _draw(rng):
+        """K from 1 to 4, 2 to 12 records with F in 0..3, and 1 to one-per-record witnesses."""
+        K, count = rng.randint(1, 4), rng.randint(2, 12)
+        rows = [[rng.randint(0, 3) for _ in range(K + 1)] for _ in range(count)]
+        witnesses = [
+            [F(rng.randint(0, 3), rng.randint(1, 2)) for _ in range(K + 1)]
+            for _ in range(rng.randint(1, count))
+        ]
+        if rng.random() < 0.5:  # witness i leans on a coordinate where record i is cheap
+            for i, w in enumerate(witnesses):
+                j = rng.randrange(K + 1)
+                w[j] += 6
+                rows[i][j] = rng.randint(0, 1)
+        if not any(map(any, rows)):  # an all-zero list is no instance
+            rows[0][0] = 1
+        records = [
+            SolutionRecord(("explicit", f"s{i}"), tuple(map(F, row))) for i, row in enumerate(rows)
+        ]
+        return records, [tuple(w) for w in witnesses]
+
+    def test_separated_matches_both_references(self):
+        rng = random.Random(20261022)
+        verdicts = set()
+        for _ in range(300):
+            records, witnesses = self._draw(rng)
+            for factor in (F(1), F(3, 2), F(2)):
+                got = fixtures._separated(records, witnesses, factor)
+                assert got == separated_reference(records, witnesses, factor)
+                assert got == each_needed_reference(records, witnesses, factor)
+                verdicts.add(got)
+        assert verdicts == {True, False}
+
+    def test_never_optimal_matches_the_fraction_loop(self, monkeypatch):
+        rng = random.Random(7)
+        real = fixtures.forced_cover_gadget
+        verdicts = set()
+        for _ in range(40):
+            b, K, seed = rng.choice((F(3, 2), F(2), F(3))), rng.randint(1, 4), rng.randrange(100)
+            base = real(b, K)
+            spikes = [base.record(f"x{i}") for i in range(K + 1)]
+            # an all-round solution near the spikes' lower envelope, or a copy of a spike that
+            # ties it wherever that spike is cheapest: optimal at some weights or not
+            F_x = tuple((K + 1) * b * F(rng.randint(70, 110), 100) for _ in range(K + 1))
+            F_allround = rng.choice((F_x, F_x, rng.choice(spikes).F))
+            allround = SolutionRecord(("explicit", "x"), F_allround)
+            instance = explicit_instance([allround, *spikes], K=K)
+            gadget = fixtures.GadgetInstance(instance, base.witnesses)
+            monkeypatch.setattr(fixtures, "forced_cover_gadget", lambda beta, K: gadget)
+            facts = {f.name: f.passed for f in check_section3(b, K, samples=30, seed=seed).facts}
+            weights = fixtures._simplex_weights(random.Random(seed), K + 1, 30)
+            expected = all(
+                min(augmented_evaluate(s, w) for s in spikes) < augmented_evaluate(allround, w)
+                for w in weights
+            )
+            assert facts["never-optimal"] == expected
+            verdicts.add(expected)
+        assert verdicts == {True, False}

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -8,15 +9,14 @@ from paramgrid import (
     InvalidInstanceError,
     Sense,
     SolutionRecord,
-    augmented_evaluate,
     compute_lambda_min,
     evaluate,
     explicit_instance,
 )
-from paramgrid.model import as_fraction, check_lambda
+from paramgrid.model import _integer_rows, _values, as_fraction, check_lambda
 from paramgrid.solvers import cut_graph, knapsack_data, knapsack_instance
 
-from conftest import random_cut, random_knapsack, random_lambda
+from conftest import augmented_evaluate, random_cut, random_explicit, random_knapsack, random_lambda
 
 from paramgrid.oracle import enumerate_solutions
 
@@ -49,18 +49,39 @@ class TestEvaluate:
 
 
 class TestAugmentedEvaluate:
+    """The augmented form sum_i w_i * F_i(x), as ``model._values`` computes it on integer rows."""
+
     def test_unit_weight_selects_first(self):
-        assert augmented_evaluate(rec(3, 1, 2), (1, 0, 0)) == 3
+        assert _values([(3, 1, 2)], (1, 0, 0)) == [3]
 
     def test_all_ones(self):
-        assert augmented_evaluate(rec(3, 1, 2), (1, 1, 1)) == 6
+        assert _values([(3, 1, 2)], (1, 1, 1)) == [6]
 
     def test_convex_combination(self):
-        assert augmented_evaluate(rec(4, 4), (F(1, 2), F(1, 2))) == 4
+        # scaled by the weight's common denominator 2
+        assert _values([(4, 4)], (F(1, 2), F(1, 2))) == [8]
 
     def test_rejects_negative_weight(self):
-        with pytest.raises(DomainError):
-            augmented_evaluate(rec(3, 1, 2), (1, -1, 0))
+        with pytest.raises(DomainError, match="is negative"):
+            _values([(3, 1, 2)], (1, -1, 0))
+
+    def test_rejects_wrong_length(self):
+        with pytest.raises(DomainError, match="weight length 2 does not match 3 components"):
+            _values([(3, 1, 2)], (1, 1))
+
+    def test_integer_rows_share_one_scale(self):
+        rows, scale = _integer_rows([rec(F(1, 2), 1), rec(F(1, 3), F(2, 3))])
+        assert (rows, scale) == ([(3, 6), (2, 4)], 6)
+
+    def test_matches_the_fraction_reference(self, rng):
+        for _ in range(30):
+            inst = random_explicit(rng, count=rng.randint(1, 6), K=rng.randint(1, 3), vmax=5)
+            recs = [SolutionRecord(r.encoding, tuple(v / rng.randint(1, 4) for v in r.F))
+                    for r in inst.payload.records]
+            rows, scale = _integer_rows(recs)
+            w = tuple(F(rng.randint(0, 6), rng.randint(1, 5)) for _ in recs[0].F)
+            D = math.lcm(*(v.denominator for v in w))
+            assert _values(rows, w) == [augmented_evaluate(r, w) * scale * D for r in recs]
 
 
 class TestBounds:

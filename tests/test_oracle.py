@@ -1,14 +1,18 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction as F
 
 import pytest
 
+import paramgrid
 from paramgrid import (
     GridSpec,
     approximate,
     SolutionRecord,
     Sense,
-    augmented_evaluate,
     enumerate_solutions,
     evaluate,
     explicit_instance,
@@ -33,6 +37,7 @@ from paramgrid.solvers import (
 )
 
 from conftest import (
+    augmented_evaluate,
     cut_walk_reference,
     optimum_by_enumeration,
     optimum_by_enumeration_weight,
@@ -148,6 +153,26 @@ class TestEnumeration:
             enumerate_solutions(inst)
         with pytest.raises(InvalidInstanceError, match="is not a solution of the instance"):
             instance_solution(inst, SolutionRecord(("items", (0,)), (F(1), F(1))))
+
+    def test_members_checked_one_by_one(self):
+        # a cut's ground set is its declared vertex count: a set of all 10^9 of
+        # them would need about 70 GB, so the rebuild must not build one
+        script = textwrap.dedent("""
+            import resource
+            hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, hard))
+            from paramgrid.oracle import instance_solution
+            from paramgrid.solvers import cut_graph, cut_record, mincut_instance
+            arcs = [(0, 1, 1, (1,)), (1, 2, 2, (0,)), (0, 2, 3, (1,))]
+            inst = mincut_instance(cut_graph(10**9, arcs, 0, 2, 1))
+            rec = cut_record(inst, {0, 1})
+            assert instance_solution(inst, rec) == rec
+            print(rec.encoding)
+        """)
+        src = os.path.dirname(os.path.dirname(paramgrid.__file__))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=20, env={**os.environ, "PYTHONPATH": src})
+        assert (proc.returncode, proc.stdout) == (0, "('cut', (0, 1))\n"), proc.stderr
 
 
 class TestOneScan:

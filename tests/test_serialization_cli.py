@@ -628,6 +628,13 @@ class TestHostileSizes:
         self.assert_refused(proc, code=4)
         assert f"at least 2^{(3**K).bit_length() - 1} points" in proc.stderr
 
+    def test_section3_at_its_bound(self):
+        # the documented bound with the default 1,000 samples runs in seconds, not minutes
+        proc = run_cli("verify", "--fixture", "section3", "--beta", "2", "--K", str(MAX_SECTION3_K),
+                       timeout=20)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["passed"] is True
+
     def test_section3_K_refused_before_the_gadget(self):
         # the gadget's (K + 2)(K + 1) rationals would take gigabytes at this K
         proc = run_cli("verify", "--fixture", "section3", "--beta", "2", "--K", "1000000",

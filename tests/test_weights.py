@@ -12,7 +12,6 @@ from paramgrid import (
     ProblemInstance,
     Sense,
     SolutionRecord,
-    augmented_evaluate,
     lambda_from_weight,
     lift_to_cone,
     query,
@@ -24,6 +23,7 @@ from paramgrid.model import ONE, ZERO
 
 from conftest import (
     at_threshold,
+    augmented_evaluate,
     below_threshold,
     cone_member_exhaustive,
     fraction_lift,
